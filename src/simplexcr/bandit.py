@@ -76,13 +76,18 @@ def benchmark_arms() -> list[Arm]:
     return [Arm(SimplexPoint(p), values) for p in _BENCHMARK_PMFS]
 
 
-class _HoeffdingBounds:
+class _MeanBounds:
+    """Endpoints from the arms' sample means, scaled to each arm's payoff
+    range [los, los + spans]."""
+
     def __init__(self, arms: list[Arm]):
         self.spans = np.array(
             [arm.values.value_range[1] - arm.values.value_range[0] for arm in arms]
         )
         self.los = np.array([arm.values.value_range[0] for arm in arms])
 
+
+class _HoeffdingBounds(_MeanBounds):
     def __call__(self, means, ns, delta_t):
         radius = self.spans * np.sqrt(math.log(2.0 / delta_t) / (2.0 * ns))
         lcb = np.maximum(means - radius, self.los)
@@ -90,13 +95,7 @@ class _HoeffdingBounds:
         return lcb, ucb
 
 
-class _KlBernoulliBounds:
-    def __init__(self, arms: list[Arm]):
-        self.spans = np.array(
-            [arm.values.value_range[1] - arm.values.value_range[0] for arm in arms]
-        )
-        self.los = np.array([arm.values.value_range[0] for arm in arms])
-
+class _KlBernoulliBounds(_MeanBounds):
     def __call__(self, means, ns, delta_t):
         span = np.where(self.spans > 0.0, self.spans, 1.0)
         scaled = np.clip((means - self.los) / span, 0.0, 1.0)
@@ -221,38 +220,21 @@ def lucb_run(
         rival_ucb[leader] = -np.inf
         challenger = int(np.argmax(rival_ucb))
 
+        completed = False
         if lcb[leader] >= ucb[challenger] - tolerance:
             if mean_based:
-                return BanditRun(
-                    seed=seed,
-                    stopping_time=samples,
-                    identified_arm=leader,
-                    per_arm_counts=tuple(tuple(int(x) for x in c) for c in counts),
-                    confidence_method=method,
-                    rounds=t,
-                    completed=True,
-                )
-            if t >= next_exact_round:
+                completed = True
+            elif t >= next_exact_round:
                 elcb, eucb = _exact_levelset_bounds(
                     arms, counts, delta_t, refine_resolution
                 )
                 rival = max(eucb[b] for b in range(num_arms) if b != leader)
-                if elcb[leader] >= rival - tolerance:
-                    return BanditRun(
-                        seed=seed,
-                        stopping_time=samples,
-                        identified_arm=leader,
-                        per_arm_counts=tuple(
-                            tuple(int(x) for x in c) for c in counts
-                        ),
-                        confidence_method=method,
-                        rounds=t,
-                        completed=True,
-                    )
-                fails += 1
-                next_exact_round = t + min(512, 16 * 2 ** (fails - 1))
+                completed = bool(elcb[leader] >= rival - tolerance)
+                if not completed:
+                    fails += 1
+                    next_exact_round = t + min(512, 16 * 2 ** (fails - 1))
 
-        if samples + 2 > sample_cap:
+        if completed or samples + 2 > sample_cap:
             return BanditRun(
                 seed=seed,
                 stopping_time=samples,
@@ -260,7 +242,7 @@ def lucb_run(
                 per_arm_counts=tuple(tuple(int(x) for x in c) for c in counts),
                 confidence_method=method,
                 rounds=t,
-                completed=False,
+                completed=completed,
             )
         pull(leader)
         pull(challenger)

@@ -46,6 +46,9 @@ from .volume import average_volume
 
 SCHEMA_VERSION = 1
 
+#: most points a subcommand may scan; checked before the grid is built
+MAX_GRID_POINTS = 5_000_000
+
 
 @dataclass
 class RunConfig:
@@ -93,6 +96,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _scan_resolution(grid: int | None, n: int) -> int:
+    """Grid resolution of a region scan at sample size n."""
+    return grid or max(10 * n, 150)
+
+
+def _check_grid(parser: argparse.ArgumentParser, k: int, resolution: int) -> None:
+    if simplex_size(k, resolution) > MAX_GRID_POINTS:
+        parser.error(f"grid has more than {MAX_GRID_POINTS} points; lower --grid")
 
 
 def _write_text(out: str | None, content: str) -> None:
@@ -170,7 +183,7 @@ def cmd_region(config: RunConfig) -> int:
         sys.stdout.write("true\n" if region_membership(p, phat, spec) else "false\n")
         return 0
 
-    resolution = config.grid or max(10 * n, 150)
+    resolution = _scan_resolution(config.grid, n)
     points = SimplexGrid(k, resolution).points
     kinds = KINDS if config.construction == "all" else (config.construction,)
     outputs = []
@@ -256,7 +269,7 @@ def cmd_widths(config: RunConfig) -> int:
             rows.append([n, "warning", "", "", "", note])
         phat = EmpiricalDistribution(counts)
         mean_hat = values.apply(phat.as_point())
-        resolution = config.grid or max(10 * n, 150)
+        resolution = _scan_resolution(config.grid, n)
         spec = RegionSpec(delta, "levelset", n, 3)
         intervals = {
             "levelset": functional_interval(phat, values, delta, spec, M=resolution),
@@ -465,16 +478,20 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
             parser.error("--p and --phat disagree on the number of categories")
     if config.grid is not None and config.grid < 1:
         parser.error("--grid must be >= 1")
+    if config.subcommand == "region" and config.p is None:
+        resolution = _scan_resolution(config.grid, sum(config.phat))
+        _check_grid(parser, len(config.phat), resolution)
     if config.subcommand == "volume":
         if config.k < 1 or config.n < 0:
             parser.error("--k must be >= 1 and --n >= 0")
-        resolution = config.grid or 300
-        if simplex_size(config.k, resolution) > 5_000_000:
-            parser.error("grid too large; lower --grid or --k")
+        _check_grid(parser, config.k, config.grid or 300)
     if config.subcommand == "covering" and config.n < 0:
         parser.error("--n must be >= 0")
-    if config.subcommand == "widths" and any(n < 10 for n in config.n_list):
-        parser.error("widths sweep needs n >= 10")
+    if config.subcommand == "widths":
+        if any(n < 10 for n in config.n_list):
+            parser.error("widths sweep needs n >= 10")
+        for n in config.n_list:
+            _check_grid(parser, 3, _scan_resolution(config.grid, n))
     # per-subcommand default output format
     if "fmt" not in payload or payload.get("fmt") is None:
         config.fmt = "json" if config.subcommand in ("region", "volume") else "csv"

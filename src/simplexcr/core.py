@@ -153,6 +153,17 @@ def compositions_array(k: int, n: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=8)
+def log_coefficients(k: int, n: int) -> np.ndarray:
+    """Log multinomial coefficients log(n! / prod c_j!) of the rows of
+    ``compositions_array(k, n)``, in the same order, as a read-only array.
+    Cached; callers must not modify."""
+    counts = compositions_array(k, n)
+    out = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    out.setflags(write=False)
+    return out
+
+
 def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
     """All empirical distributions from n samples over k categories, in
     lexicographic order. n = 0 gives the single all-zero count vector."""
@@ -194,9 +205,25 @@ def log_pmf_array(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
         raise ValueError("dimension mismatch between counts and probabilities")
     n = counts.sum(axis=1)
     logcoef = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
-    w = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), _LOG_ZERO)
-    out = logcoef + counts @ w
-    return np.where(out <= _LOG_ZERO / 2, -np.inf, out)
+    return _finite_to_inf(logcoef + counts @ log_weights(p))
+
+
+def outcome_log_pmf(k: int, n: int, probs: np.ndarray) -> np.ndarray:
+    """log_pmf_array over every row of ``compositions_array(k, n)``, with
+    the coefficients read from the cached ``log_coefficients`` table."""
+    counts = compositions_array(k, n)
+    return _finite_to_inf(log_coefficients(k, n) + counts @ log_weights(probs))
+
+
+def log_weights(probs: np.ndarray) -> np.ndarray:
+    """Elementwise log of probabilities, with the finite stand-in _LOG_ZERO
+    at zero entries so that count-weighted sums stay nan-free."""
+    p = np.asarray(probs, dtype=float)
+    return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), _LOG_ZERO)
+
+
+def _finite_to_inf(logp: np.ndarray) -> np.ndarray:
+    return np.where(logp <= _LOG_ZERO / 2, -np.inf, logp)
 
 
 def kl_divergence(p: SimplexPoint, q: SimplexPoint) -> float:

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalDistribution, SimplexGrid, SimplexPoint, kl_bernoulli
+from .core import (
+    EmpiricalDistribution,
+    SimplexGrid,
+    SimplexPoint,
+    kl_bernoulli,
+    kl_bernoulli_many,
+)
 from .regions import RegionSpec, membership_grid
 
 
@@ -249,13 +255,6 @@ def kl_bernoulli_interval(mean_hat: float, n: int, delta: float) -> IntervalResu
     )
 
 
-def _kl2_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(a > 0.0, a * (np.log(a) - np.log(b)), 0.0)
-        t2 = np.where(a < 1.0, (1.0 - a) * (np.log1p(-a) - np.log1p(-b)), 0.0)
-    return t1 + t2
-
-
 def kl_bernoulli_bounds_vec(
     mean_hats: np.ndarray, levels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,15 +264,15 @@ def kl_bernoulli_bounds_vec(
     lv = np.asarray(levels, dtype=float)
     lo_lo, lo_hi = np.zeros_like(mh), mh.copy()
     hi_lo, hi_hi = mh.copy(), np.ones_like(mh)
-    done_lo = _kl2_vec(mh, lo_lo) <= lv
-    done_hi = _kl2_vec(mh, hi_hi) <= lv
+    done_lo = kl_bernoulli_many(mh, lo_lo) <= lv
+    done_hi = kl_bernoulli_many(mh, hi_hi) <= lv
     for _ in range(64):
         mid = 0.5 * (lo_lo + lo_hi)
-        ok = _kl2_vec(mh, mid) <= lv
+        ok = kl_bernoulli_many(mh, mid) <= lv
         lo_hi = np.where(ok, mid, lo_hi)
         lo_lo = np.where(ok, lo_lo, mid)
         mid = 0.5 * (hi_lo + hi_hi)
-        ok = _kl2_vec(mh, mid) <= lv
+        ok = kl_bernoulli_many(mh, mid) <= lv
         hi_lo = np.where(ok, mid, hi_lo)
         hi_hi = np.where(ok, hi_hi, mid)
     lower = np.where(done_lo, 0.0, lo_hi)

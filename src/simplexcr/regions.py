@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 from scipy.stats import chi2
 
 from .core import (
     LOG_TIE_TOL,
-    _LOG_ZERO,
     EmpiricalDistribution,
     SimplexPoint,
     compositions_array,
@@ -28,7 +26,9 @@ from .core import (
     kl_bernoulli_many,
     kl_divergence,
     kl_to_many,
-    log_pmf_array,
+    log_coefficients,
+    log_weights,
+    outcome_log_pmf,
 )
 
 KINDS = ("levelset", "sanov", "polytope")
@@ -122,7 +122,7 @@ def covering_collection(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     counts = compositions_array(p.k, n)
-    logp = log_pmf_array(counts, p.as_array())
+    logp = outcome_log_pmf(p.k, n, p.as_array())
     order = _probability_ordering(counts, logp)
     probs = np.exp(logp[order])
     cum = kahan_cumsum(probs)
@@ -154,28 +154,10 @@ def _composition_index(counts: np.ndarray, target: tuple[int, ...]) -> int:
 def member_of_covering(
     phat: EmpiricalDistribution, p: SimplexPoint, delta: float
 ) -> bool:
-    """Decide phat in S(p) without materializing the sorted ordering.
-
-    Sums the mass G of outcomes ranked before phat (strictly more probable,
-    or tied within LOG_TIE_TOL and lexicographically earlier); phat belongs
-    to the prefix iff G < 1 - delta.
-    """
-    if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    counts = compositions_array(p.k, phat.n)
-    logp = log_pmf_array(counts, p.as_array())
-    idx = _composition_index(counts, phat.counts)
-    q = logp[idx]
-    with np.errstate(invalid="ignore"):
-        diff = logp - q  # -inf minus -inf gives nan; both comparisons reject it
-    more = diff > LOG_TIE_TOL
-    tie = np.abs(diff) <= LOG_TIE_TOL
-    lex_earlier = np.arange(len(counts)) < idx
-    sel = more | (tie & lex_earlier)
-    mass = math.fsum(np.exp(logp[sel]))
-    return mass < 1.0 - delta
+    """Decide phat in S(p) without materializing the sorted ordering: the
+    one-row case of levelset_membership_grid, whose docstring states the
+    rule."""
+    return bool(levelset_membership_grid(phat, delta, p.as_array()[None, :])[0])
 
 
 def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
@@ -184,7 +166,7 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     if phat.k != p.k:
         raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
     counts = compositions_array(p.k, phat.n)
-    logp = log_pmf_array(counts, p.as_array())
+    logp = outcome_log_pmf(p.k, phat.n, p.as_array())
     idx = _composition_index(counts, phat.counts)
     q = logp[idx]
     include = logp <= q + LOG_TIE_TOL
@@ -298,51 +280,43 @@ def polytope_membership(
 
 
 def region_membership(
-    p: SimplexPoint,
-    phat: EmpiricalDistribution,
-    spec: RegionSpec,
-    use_chi2_prefilter: bool = False,
+    p: SimplexPoint, phat: EmpiricalDistribution, spec: RegionSpec
 ) -> bool:
     """Does the confidence region of ``phat`` (built per ``spec``) contain p?
 
-    For the level-set construction the sound KL outer bound is applied
-    first. With ``use_chi2_prefilter`` the chi-square approximation may
-    additionally shortcut points far inside the region (approximate p-value
-    above 10 * delta); anything at or below that band is decided exactly,
-    so rejections always rest on the exact computation or the sound bound.
+    The one-row case of membership_grid, for every construction kind; the
+    level-set answer is member_of_covering's.
     """
-    if phat.n != spec.n or phat.k != spec.k or p.k != spec.k:
+    if p.k != spec.k:
         raise ValueError("spec does not match the supplied phat and p")
-    if spec.kind == "sanov":
-        return sanov_membership(p, phat, spec.delta)
-    if spec.kind == "polytope":
-        return polytope_membership(p, phat, spec.delta)
-    if outer_bound_reject(phat, p, spec.delta):
-        return False
-    if use_chi2_prefilter and all(x > 0.0 for x in p.probs):
-        approx = chi2_prefilter(phat, p)
-        if approx > min(1.0, 10.0 * spec.delta):
-            return True
-    return member_of_covering(phat, p, spec.delta)
+    return bool(membership_grid(phat, spec, p.as_array()[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # Vectorized membership over many candidate parameters. These back the
-# volume estimates, interval scans, and the bandit harness; scans are pure
-# and safe to parallelize over.
+# scalar queries above, the volume estimates, interval scans, and the bandit
+# harness; scans are pure and safe to parallelize over.
 
 
 def levelset_membership_grid(
-    phat: EmpiricalDistribution,
-    delta: float,
-    points: np.ndarray,
-    use_outer_bound: bool = True,
+    phat: EmpiricalDistribution, delta: float, points: np.ndarray
 ) -> np.ndarray:
-    """Level-set membership of every row of ``points``, vectorized.
+    """Level-set membership of every row of ``points``: the one rank-mass
+    kernel behind every level-set membership answer.
 
-    The KL outer bound prunes candidates soundly before the exact
-    rank-mass computation runs in batches.
+    p is in the region iff the mass G of the outcomes ranked before phat
+    under p is below 1 - delta. With D = log P_p(x) - log P_p(phat), x is
+    ranked before phat when D > LOG_TIE_TOL, or when |D| <= LOG_TIE_TOL
+    (the tie band) and x is lexicographically earlier: covering_collection's
+    order. G is an ``np.bincount`` sum of exp(log P_p(x)) per point. Rows at
+    or below the floor log(delta) - log(N) - 30 (N outcomes) are left out:
+    together they weigh at most delta * exp(-30), and leaving mass out only
+    lowers G, so the floor errs only toward inclusion. The sound KL outer
+    bound (outer_bound_reject's test) prunes points first, and a point under
+    which phat alone has mass above delta is accepted, as G excludes phat.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     points = np.asarray(points, dtype=float)
     n, k = phat.n, phat.k
     if points.shape[1] != k:
@@ -350,11 +324,10 @@ def levelset_membership_grid(
     counts = compositions_array(k, n)
     num = len(counts)
     idx = _composition_index(counts, phat.counts)
-    ns = counts.sum(axis=1)
-    logcoef = gammaln(ns + 1) - gammaln(counts + 1).sum(axis=1)
+    logcoef = log_coefficients(k, n)
 
     member = np.zeros(len(points), dtype=bool)
-    if use_outer_bound and n >= 1:
+    if n >= 1:
         with np.errstate(invalid="ignore"):
             klvec = kl_to_many(phat.as_point().as_array(), points)
             keep = 2.0 * k * math.log(n + 1) - n * klvec > math.log(delta)
@@ -366,11 +339,8 @@ def levelset_membership_grid(
 
     target = 1.0 - delta
     log_delta = math.log(delta)
-    # Rows below this log-probability never tip the mass-vs-target
-    # comparison: the discarded total is at most num * exp(floor), i.e.
-    # delta * 1e-13, and dropping counted mass only errs toward inclusion.
     floor = log_delta - math.log(num) - 30.0
-    w = np.where(points[cand] > 0.0, np.log(np.maximum(points[cand], 1e-300)), _LOG_ZERO)
+    w = log_weights(points[cand])
     counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
     batch = max(16, _BATCH_ENTRIES // (8 * num))
@@ -389,8 +359,6 @@ def levelset_membership_grid(
         lex_earlier = np.arange(len(cf)) < new_idx  # rows stay in lex order
         lp = logcoef[kept][:, None] + cf @ wb.T
         q = lp[new_idx]
-        # The un-counted tail always includes phat itself, so its own
-        # probability exceeding delta already certifies membership.
         quick = q > log_delta
         member[cols[quick]] = True
         rest = np.flatnonzero(~quick)
@@ -430,7 +398,8 @@ def polytope_membership_grid(
 def membership_grid(
     phat: EmpiricalDistribution, spec: RegionSpec, points: np.ndarray
 ) -> np.ndarray:
-    """Vectorized region_membership over rows of ``points``."""
+    """Membership of every row of ``points`` in the region of ``phat``
+    built per ``spec``."""
     if phat.n != spec.n or phat.k != spec.k:
         raise ValueError("spec does not match the supplied phat")
     if spec.kind == "sanov":
@@ -469,15 +438,13 @@ def covering_sizes_grid(
     points = np.asarray(points, dtype=float)
     counts = compositions_array(k, n)
     num = len(counts)
-    ns = counts.sum(axis=1)
-    logcoef = gammaln(ns + 1) - gammaln(counts + 1).sum(axis=1)
+    logcoef = log_coefficients(k, n)
     target = 1.0 - delta
     out = np.empty(len(points), dtype=np.int64)
     batch = max(1, _BATCH_ENTRIES // num)
     for a in range(0, len(points), batch):
         g = points[a : a + batch]
-        w = np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), _LOG_ZERO)
-        lp = logcoef[:, None] + counts @ w.T
+        lp = logcoef[:, None] + counts @ log_weights(g).T
         pr = np.sort(np.exp(lp), axis=0)[::-1]
         cum = np.cumsum(pr, axis=0)
         out[a : a + len(g)] = np.minimum((cum < target).sum(axis=0) + 1, num)

@@ -33,6 +33,20 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_oversized_region_grid_exits_2(self, capsys):
+        # about 5e9 points: refused before any allocation
+        code, out, err = run_cli(
+            capsys, "region", "--phat", "1,1,1", "--grid", "100000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "lower --grid" in err
+
+    def test_oversized_default_widths_grid_exits_2(self, capsys):
+        # the default resolution max(10n, 150) is capped too
+        code, _, _ = run_cli(capsys, "widths", "--n-list", "10,400000")
+        assert code == 2
+
     def test_boundary_mode_needs_k3(self, capsys):
         code, _, _ = run_cli(
             capsys, "region", "--phat", "2,2", "--delta", "0.3", "--mode", "boundary"

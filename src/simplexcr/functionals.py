@@ -3,8 +3,9 @@
 The region-induced interval is extracted by a dense grid scan (Monte Carlo
 for k > 3) widened by the worst-case change of the functional between
 adjacent grid points, giving a resolution-controlled outer approximation.
-Closed-form baselines (Hoeffding, oracle sub-Gaussian, empirical Bernstein,
-two-point KL inversion) are provided for width comparisons.
+Baselines for width comparisons: the closed-form Hoeffding, oracle
+sub-Gaussian and empirical Bernstein intervals, and the two-point KL
+interval, whose endpoints come from one safeguarded Newton solver.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .core import (
     SimplexGrid,
     SimplexPoint,
     kl_bernoulli,
-    kl_bernoulli_many,
 )
 from .regions import RegionSpec, membership_grid
 
@@ -222,62 +222,90 @@ def empirical_bernstein_interval(
     )
 
 
-def _kl2_root(mean_hat: float, level: float, upper: bool) -> float:
-    # Bisection on the monotone branch of m -> KL(mean_hat, m).
-    lo, hi = (mean_hat, 1.0) if upper else (0.0, mean_hat)
-    if kl_bernoulli(mean_hat, hi if upper else lo) <= level:
-        return hi if upper else lo
-    # Invariant: the endpoint nearest mean_hat satisfies the constraint.
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        ok = kl_bernoulli(mean_hat, mid) <= level
-        if upper:
-            lo, hi = (mid, hi) if ok else (lo, mid)
+# A Newton step shorter than this many ulps has stalled on rounding noise.
+_NEWTON_STALL_ULPS = 4
+
+
+def _kl_root(mean_hat: float, level: float, edge: float) -> float:
+    """The point m between mean_hat and edge (0 or 1) farthest from mean_hat
+    with KL(mean_hat, m) <= level, to within a few ulps of where rounded KL
+    crosses level.
+
+    The bracket [ok, bad] has ok feasible and bad infeasible. On each branch
+    m -> KL(mean_hat, m) is convex, so a Newton step from an infeasible
+    point stops short of the root: the iteration closes in from the
+    infeasible side, and a Newton trial that comes out feasible has met the
+    root to within rounding and is returned. A step shorter than
+    _NEWTON_STALL_ULPS ulps is lengthened to that, so near the root the
+    trial lands on the feasible side. A step is replaced by bisection when KL at bad is
+    infinite, when it would leave the bracket, and when it is longer than
+    half the previous one (Newton is not converging, as on a plateau of
+    rounded KL, which is not monotone at the scale of one ulp). Bisection
+    ends at ok once it can no longer split the bracket. Either way
+    KL(mean_hat, result) <= level holds.
+    """
+    excess = kl_bernoulli(mean_hat, edge) - level
+    if excess <= 0.0:
+        return edge
+    ok, bad = mean_hat, edge
+    last = math.inf  # length of the previous Newton step
+    while True:
+        m = math.nan
+        if math.isfinite(excess):
+            # excess is KL(mean_hat, bad) - level, and the slope of
+            # m -> KL(mean_hat, m) is (m - mean_hat) / (m (1 - m))
+            step = excess * bad * (1.0 - bad) / (bad - mean_hat)
+            length = max(abs(step), _NEWTON_STALL_ULPS * math.ulp(bad))
+            if length <= 0.5 * last:
+                m = bad - math.copysign(length, step)
+        newton = min(ok, bad) < m < max(ok, bad)
+        if newton:
+            last = length
         else:
-            lo, hi = (lo, mid) if ok else (mid, hi)
-    return lo if upper else hi
+            m = 0.5 * (ok + bad)
+            if m == ok or m == bad:
+                return ok
+            last = math.inf
+        trial = kl_bernoulli(mean_hat, m) - level
+        if trial <= 0.0:
+            if newton:
+                return m
+            ok = m
+        else:
+            bad, excess = m, trial
 
 
 def kl_bernoulli_interval(mean_hat: float, n: int, delta: float) -> IntervalResult:
-    """All means m in [0, 1] with KL(mean_hat, m) <= log(2/delta) / n,
-    endpoints located by bisection to 1e-10."""
+    """All means m in [0, 1] with KL(mean_hat, m) <= log(2/delta) / n; the
+    one-entry call of kl_bernoulli_bounds_vec."""
     if not 0.0 <= mean_hat <= 1.0:
         raise ValueError(f"mean must lie in [0, 1], got {mean_hat}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    level = math.log(2.0 / delta) / n
-    return IntervalResult(
-        lower=_kl2_root(mean_hat, level, upper=False),
-        upper=_kl2_root(mean_hat, level, upper=True),
-        method="kl-bernoulli",
-    )
+    lower, upper = kl_bernoulli_bounds_vec(mean_hat, math.log(2.0 / delta) / n)
+    return IntervalResult(lower=float(lower), upper=float(upper), method="kl-bernoulli")
 
 
 def kl_bernoulli_bounds_vec(
     mean_hats: np.ndarray, levels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized endpoints of the two-point KL interval, one per entry.
-    The bandit loop calls this every round, so it runs as array bisection."""
-    mh = np.asarray(mean_hats, dtype=float)
-    lv = np.asarray(levels, dtype=float)
-    lo_lo, lo_hi = np.zeros_like(mh), mh.copy()
-    hi_lo, hi_hi = mh.copy(), np.ones_like(mh)
-    done_lo = kl_bernoulli_many(mh, lo_lo) <= lv
-    done_hi = kl_bernoulli_many(mh, hi_hi) <= lv
-    for _ in range(64):
-        mid = 0.5 * (lo_lo + lo_hi)
-        ok = kl_bernoulli_many(mh, mid) <= lv
-        lo_hi = np.where(ok, mid, lo_hi)
-        lo_lo = np.where(ok, lo_lo, mid)
-        mid = 0.5 * (hi_lo + hi_hi)
-        ok = kl_bernoulli_many(mh, mid) <= lv
-        hi_lo = np.where(ok, mid, hi_lo)
-        hi_hi = np.where(ok, hi_hi, mid)
-    lower = np.where(done_lo, 0.0, lo_hi)
-    upper = np.where(done_hi, 1.0, hi_lo)
-    return lower, upper
+    """Endpoints of {m : KL(mean_hat, m) <= level} for every broadcast pair,
+    each on the feasible side of its root. The bandit loop calls this every
+    round with one entry per arm, few enough that a scalar loop over the
+    roots beats array arithmetic."""
+    mh, lv = np.broadcast_arrays(
+        np.asarray(mean_hats, dtype=float), np.asarray(levels, dtype=float)
+    )
+    ends = np.array(
+        [
+            (_kl_root(m, level, 0.0), _kl_root(m, level, 1.0))
+            for m, level in zip(mh.ravel().tolist(), lv.ravel().tolist())
+        ],
+        dtype=float,
+    ).reshape(mh.shape + (2,))
+    return ends[..., 0], ends[..., 1]
 
 
 def mixture_point_from_uniform(u: float) -> SimplexPoint:

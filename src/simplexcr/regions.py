@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc, chdtri
 
 from .core import (
     LOG_TIE_TOL,
@@ -221,7 +221,7 @@ def chi2_prefilter(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     stat = math.fsum(
         (c - n * x) ** 2 / (n * x) for c, x in zip(phat.counts, p.probs)
     )
-    return float(chi2.sf(stat, phat.k - 1))
+    return float(chdtrc(phat.k - 1, stat))
 
 
 def sanov_refined_valid(k: int, n: int) -> bool:
@@ -355,9 +355,11 @@ def levelset_membership_grid(
         kept = row_bound > floor
         kept[idx] = True
         new_idx = int(kept[:idx].sum())
-        cf = counts_f[kept]
-        lex_earlier = np.arange(len(cf)) < new_idx  # rows stay in lex order
-        lp = logcoef[kept][:, None] + cf @ wb.T
+        if len(wb) == 1:  # a one-point batch's row bound is its log-pmf
+            lp = row_bound[kept][:, None]
+        else:
+            lp = logcoef[kept][:, None] + counts_f[kept] @ wb.T
+        lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
         q = lp[new_idx]
         quick = q > log_delta
         member[cols[quick]] = True
@@ -424,7 +426,7 @@ def chi2_membership_grid(
     fr = phat.as_point().as_array()
     g = points[interior]
     stat = n * ((fr - g) ** 2 / g).sum(axis=1)
-    member[interior] = stat <= chi2.isf(delta, k - 1)
+    member[interior] = stat <= chdtri(k - 1, delta)
     return member
 
 

@@ -1,7 +1,9 @@
 """Independent oracles for the test suite: exact big-rational pmf sums,
-exhaustive subset search for minimal covering cardinality, and a
-one-dimensional boundary-bisection measure for k = 2 regions. These stay
-deliberately separate from the library's log-space code paths."""
+exhaustive subset search for minimal covering cardinality, a
+one-dimensional boundary-bisection measure for k = 2 regions, and a
+64-step bisection for two-point KL interval endpoints. These stay
+deliberately separate from the library's log-space code paths and its
+Newton KL-bound solver."""
 from __future__ import annotations
 
 import math
@@ -11,7 +13,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from simplexcr import SimplexPoint, member_of_covering
-from simplexcr.core import iter_compositions
+from simplexcr.core import iter_compositions, kl_bernoulli_many
 
 
 def exact_pmf(counts, probs: tuple[Fraction, ...]) -> Fraction:
@@ -110,3 +112,27 @@ def _bisect_edge(inside, lo: float, hi: float, want_inside_right: bool) -> float
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def kl_bernoulli_bounds_bisection(mean_hats, levels):
+    """Endpoints of {m : KL(mean_hat, m) <= level} by 64 array bisection
+    steps per side, returning the feasible end of each bracket; an endpoint
+    is 0 or 1 only when that edge itself is feasible."""
+    mh = np.asarray(mean_hats, dtype=float)
+    lv = np.asarray(levels, dtype=float)
+    lo_lo, lo_hi = np.zeros_like(mh), mh.copy()
+    hi_lo, hi_hi = mh.copy(), np.ones_like(mh)
+    done_lo = kl_bernoulli_many(mh, lo_lo) <= lv
+    done_hi = kl_bernoulli_many(mh, hi_hi) <= lv
+    for _ in range(64):
+        mid = 0.5 * (lo_lo + lo_hi)
+        ok = kl_bernoulli_many(mh, mid) <= lv
+        lo_hi = np.where(ok, mid, lo_hi)
+        lo_lo = np.where(ok, lo_lo, mid)
+        mid = 0.5 * (hi_lo + hi_hi)
+        ok = kl_bernoulli_many(mh, mid) <= lv
+        hi_lo = np.where(ok, mid, hi_lo)
+        hi_hi = np.where(ok, hi_hi, mid)
+    lower = np.where(done_lo, 0.0, lo_hi)
+    upper = np.where(done_hi, 1.0, hi_lo)
+    return lower, upper

@@ -8,7 +8,10 @@ from simplexcr import (
     benchmark_arms,
     lucb_run,
 )
+from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds
+
+from oracles import kl_bernoulli_bounds_bisection
 
 
 def deterministic_arms() -> list[Arm]:
@@ -92,6 +95,19 @@ class TestStrategyIsolation:
         assert disguised.stopping_time == reference.stopping_time
         assert disguised.identified_arm == reference.identified_arm
         assert disguised.per_arm_counts == reference.per_arm_counts
+
+
+class TestKlSolver:
+    def test_runs_equal_under_bisection_oracle(self, monkeypatch):
+        """The Newton KL-bound solver and the 64-step bisection it replaced
+        give the same kl-bernoulli LUCB runs (500-600 rounds each)."""
+        arms = benchmark_arms()
+        runs = [lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=s) for s in range(5)]
+        monkeypatch.setattr(
+            bandit, "kl_bernoulli_bounds_vec", kl_bernoulli_bounds_bisection
+        )
+        for seed, run in enumerate(runs):
+            assert lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=seed) == run
 
 
 class TestMethodOrdering:

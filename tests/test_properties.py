@@ -1,4 +1,7 @@
-"""Property tests of the paper's identities over generated inputs."""
+"""Property tests of the paper's identities and of the KL-bound solver over
+generated inputs."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,11 @@ from simplexcr import (
     member_of_covering,
     region_membership,
 )
+from simplexcr.core import kl_bernoulli
+from simplexcr.functionals import kl_bernoulli_bounds_vec
 from simplexcr.regions import levelset_membership_grid
+
+from oracles import kl_bernoulli_bounds_bisection
 
 
 @st.composite
@@ -61,3 +68,72 @@ def test_scalar_grid_and_collection_agree(case):
             assert member_of_covering(phat, p, delta) == want
             assert region_membership(p, phat, spec) == want
             assert bool(in_grid) == want
+
+
+def mean_hats():
+    """Sample means in [0, 1]: the edges, multiples of 1/n, values within
+    1e-12 of either edge, and uniform values."""
+    fractions = st.integers(1, 2000).flatmap(
+        lambda n: st.integers(0, n).map(lambda i: i / n)
+    )
+    near_zero = st.floats(0.0, 1e-12)
+    return st.one_of(
+        st.sampled_from((0.0, 1.0)),
+        fractions,
+        near_zero,
+        near_zero.map(lambda x: 1.0 - x),
+        st.floats(0.0, 1.0),
+    )
+
+
+def _kl_rounding(mean_hat: float, m: float) -> float:
+    """Scale of the absolute rounding error of KL(mean_hat, m) as computed
+    by core.kl_bernoulli or core.kl_bernoulli_many: each term's logarithms
+    carry about one ulp of their size."""
+    s = 0.0
+    if mean_hat > 0.0:
+        s += mean_hat * (1.0 + abs(math.log(mean_hat)) + abs(math.log(m)))
+    if mean_hat < 1.0:
+        s += (1.0 - mean_hat) * (
+            1.0 + abs(math.log1p(-mean_hat)) + abs(math.log1p(-m))
+        )
+    return 2.0**-52 * s
+
+
+def _kl_slope(mean_hat: float, m: float) -> float:
+    return abs(m - mean_hat) / (m * (1.0 - m))
+
+
+def kl_levels():
+    """Levels from 1e-14 to 50, log-uniform."""
+    return st.floats(-14.0, math.log10(50.0)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(mean_hats(), kl_levels()), min_size=1, max_size=6))
+def test_kl_bounds_feasible_and_match_bisection(pairs):
+    """Every endpoint of the Newton solver is feasible by core.kl_bernoulli,
+    brackets the sample mean, is 0 or 1 exactly when the 64-step bisection's
+    is, and lies within 1e-14 of the bisection's endpoint plus four times
+    the distance over which KL's rounding error can move the root. At small
+    levels the root is ill-conditioned: KL's rounding error of about 1e-16
+    meets a slope of about sqrt(2 level / (m (1 - m))), so the two methods,
+    each exact on its own rounded KL, part by more than 1e-14 below level
+    ~2.5e-5 and by up to ~5e-10 at level 1e-14."""
+    mh = np.array([m for m, _ in pairs])
+    levels = np.array([level for _, level in pairs])
+    lower, upper = kl_bernoulli_bounds_vec(mh, levels)
+    ref_lower, ref_upper = kl_bernoulli_bounds_bisection(mh, levels)
+    for m, level, lo, hi, ref_lo, ref_hi in zip(
+        mh.tolist(), levels.tolist(), lower.tolist(), upper.tolist(),
+        ref_lower.tolist(), ref_upper.tolist(),
+    ):
+        assert lo <= m <= hi
+        for end, ref in ((lo, ref_lo), (hi, ref_hi)):
+            assert kl_bernoulli(m, end) <= level
+            assert (end in (0.0, 1.0)) == (ref in (0.0, 1.0))
+            if end == ref:
+                continue
+            slope = min(_kl_slope(m, end), _kl_slope(m, ref))
+            allowance = 4.0 * (_kl_rounding(m, end) + _kl_rounding(m, ref)) / slope
+            assert abs(end - ref) <= 1e-14 + allowance

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import simplexcr
 from simplexcr import (
     EmpiricalDistribution,
     RegionSpec,
@@ -252,6 +256,17 @@ class TestChi2Prefilter:
     def test_zero_coordinate_unavailable(self):
         with pytest.raises(ValueError):
             chi2_prefilter(EmpiricalDistribution((1, 1, 1)), SimplexPoint((0.5, 0.5, 0.0)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """The chi-square tail comes from scipy.special, so importing the package
+    must not load scipy.stats, which alone more than doubles the import
+    time."""
+    src = os.path.dirname(os.path.dirname(simplexcr.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, simplexcr; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSanov:

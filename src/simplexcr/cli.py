@@ -46,7 +46,7 @@ from .volume import average_volume
 
 SCHEMA_VERSION = 1
 
-#: most points a subcommand may scan; checked before the grid is built
+#: most points of a scan grid or an outcome table; checked before either is built
 MAX_GRID_POINTS = 5_000_000
 
 
@@ -103,9 +103,11 @@ def _scan_resolution(grid: int | None, n: int) -> int:
     return grid or max(10 * n, 150)
 
 
-def _check_grid(parser: argparse.ArgumentParser, k: int, resolution: int) -> None:
-    if simplex_size(k, resolution) > MAX_GRID_POINTS:
-        parser.error(f"grid has more than {MAX_GRID_POINTS} points; lower --grid")
+def _check_size(
+    parser: argparse.ArgumentParser, k: int, n: int, table: str, knob: str
+) -> None:
+    if simplex_size(k, n) > MAX_GRID_POINTS:
+        parser.error(f"{table} has more than {MAX_GRID_POINTS} points; lower {knob}")
 
 
 def _write_text(out: str | None, content: str) -> None:
@@ -480,18 +482,22 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         parser.error("--grid must be >= 1")
     if config.subcommand == "region" and config.p is None:
         resolution = _scan_resolution(config.grid, sum(config.phat))
-        _check_grid(parser, len(config.phat), resolution)
+        _check_size(parser, len(config.phat), resolution, "grid", "--grid")
     if config.subcommand == "volume":
         if config.k < 1 or config.n < 0:
             parser.error("--k must be >= 1 and --n >= 0")
-        _check_grid(parser, config.k, config.grid or 300)
-    if config.subcommand == "covering" and config.n < 0:
-        parser.error("--n must be >= 0")
+        _check_size(parser, config.k, config.grid or 300, "grid", "--grid")
+    if config.subcommand == "covering":
+        if config.n < 0:
+            parser.error("--n must be >= 0")
+        _check_size(parser, len(config.p), config.n, "outcome table", "--n")
+    if config.subcommand == "pvalue":
+        _check_size(parser, len(config.phat), sum(config.phat), "outcome table", "--phat")
     if config.subcommand == "widths":
         if any(n < 10 for n in config.n_list):
             parser.error("widths sweep needs n >= 10")
         for n in config.n_list:
-            _check_grid(parser, 3, _scan_resolution(config.grid, n))
+            _check_size(parser, 3, _scan_resolution(config.grid, n), "grid", "--grid")
     # per-subcommand default output format
     if "fmt" not in payload or payload.get("fmt") is None:
         config.fmt = "json" if config.subcommand in ("region", "volume") else "csv"

@@ -133,7 +133,8 @@ def iter_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
 @lru_cache(maxsize=8)
 def compositions_array(k: int, n: int) -> np.ndarray:
     """All count vectors of Delta_{k,n} as a read-only (size, k) int array,
-    rows in lexicographic order. Cached; callers must not modify."""
+    rows in lexicographic order: index order breaks probability ties, and a
+    row's index is its ``composition_rank``. Cached; callers must not modify."""
     size = simplex_size(k, n)
     if k == 1:
         arr = np.array([[n]], dtype=np.int64)
@@ -151,6 +152,20 @@ def compositions_array(k: int, n: int) -> np.ndarray:
     arr[:, k - 1] = n + k - 2 - bars[:, -1]
     arr.setflags(write=False)
     return arr
+
+
+def composition_rank(counts: tuple[int, ...]) -> int:
+    """Row index of ``counts`` in ``compositions_array(len(counts),
+    sum(counts))``: its lexicographic rank, in O(k). Position j, with m
+    units left and t = k - j - 1 positions after it, passes over the
+    C(m + t, t) - C(m - c_j + t, t) outcomes whose entry there is below c_j."""
+    m = sum(counts)
+    rank = 0
+    for j, c in enumerate(counts):
+        t = len(counts) - j - 1
+        rank += math.comb(m + t, t) - math.comb(m - c + t, t)
+        m -= c
+    return rank
 
 
 @lru_cache(maxsize=8)
@@ -284,19 +299,22 @@ def kl_bernoulli_many(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return t1 + t2
 
 
-def kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sums with Kahan compensation; the 1 - delta comparisons
-    downstream must not flip on accumulated rounding."""
-    out = np.empty(len(values), dtype=float)
+def kahan_cumsum(values: np.ndarray, target: float) -> np.ndarray:
+    """Running sums with Kahan compensation, up to and including the first
+    one that reaches ``target`` (all of them if none does); the 1 - delta
+    comparisons downstream must not flip on accumulated rounding."""
+    out = []
     total = 0.0
     comp = 0.0
-    for i, v in enumerate(values):
+    for v in values:
         y = float(v) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[i] = total
-    return out
+        out.append(total)
+        if total >= target:
+            break
+    return np.array(out, dtype=float)
 
 
 @lru_cache(maxsize=8)

@@ -20,6 +20,7 @@ from .core import (
     LOG_TIE_TOL,
     EmpiricalDistribution,
     SimplexPoint,
+    composition_rank,
     compositions_array,
     kahan_cumsum,
     kl_bernoulli,
@@ -87,30 +88,23 @@ class CoveringCollection:
         return phat in self.members
 
 
-def _probability_ordering(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
+def _probability_ordering(logp: np.ndarray) -> np.ndarray:
     """Indices sorting outcomes by probability descending; outcomes whose
-    log-probabilities agree within LOG_TIE_TOL are ordered lexicographically
-    ascending on their count vectors."""
-    k = counts.shape[1]
-    keys = [counts[:, j] for j in range(k - 1, -1, -1)] + [-logp]
-    order = np.lexsort(keys)
-    sorted_logp = logp[order]
-    # Exact float ties are already lex-ordered by the sort keys; re-sort any
-    # run of near-ties that spans distinct float values.
-    start = 0
-    m = len(order)
-    for i in range(1, m + 1):
-        boundary = i == m
-        if not boundary:
-            a, b = sorted_logp[i - 1], sorted_logp[i]
-            boundary = not (a == b or a - b <= LOG_TIE_TOL)
-        if boundary:
-            if i - start > 1:
-                run = order[start:i]
-                sub_keys = [counts[run, j] for j in range(k - 1, -1, -1)]
-                order[start:i] = run[np.lexsort(sub_keys)]
-            start = i
-    return order
+    log-probabilities agree within LOG_TIE_TOL, chained along the sorted
+    values, are ordered lexicographically ascending, which for the rows of
+    compositions_array is index order."""
+    num = len(logp)
+    order = np.argsort(-logp)
+    s = logp[order]
+    with np.errstate(invalid="ignore"):  # -inf - -inf; caught by ==
+        tie = (s[:-1] - s[1:] <= LOG_TIE_TOL) | (s[:-1] == s[1:])
+    run = np.zeros(num, dtype=np.int64)
+    np.cumsum(~tie, out=run[1:])
+    run *= num  # near-tie run id first, row index second: fits int64
+    run += order
+    run.sort()
+    run %= num
+    return run
 
 
 def covering_collection(
@@ -121,34 +115,17 @@ def covering_collection(
     with mass at least 1 - delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    counts = compositions_array(p.k, n)
     logp = outcome_log_pmf(p.k, n, p.as_array())
-    order = _probability_ordering(counts, logp)
-    probs = np.exp(logp[order])
-    cum = kahan_cumsum(probs)
-    target = 1.0 - delta
-    ell = int(np.searchsorted(cum, target, side="left"))
-    if ell >= len(cum):
-        ell = len(cum) - 1  # rounding guard; the full sum is always >= target
-    members = tuple(
-        EmpiricalDistribution(tuple(counts[i])) for i in order[: ell + 1]
-    )
+    order = _probability_ordering(logp)
+    cum = kahan_cumsum(np.exp(logp[order]), 1.0 - delta)
+    rows = compositions_array(p.k, n)[order[: len(cum)]].tolist()
     return CoveringCollection(
-        members=members,
-        cumulative=tuple(float(c) for c in cum[: ell + 1]),
-        total_mass=float(cum[ell]),
+        members=tuple(EmpiricalDistribution(tuple(r)) for r in rows),
+        cumulative=tuple(cum.tolist()),
+        total_mass=float(cum[-1]),
         p=p,
         delta=delta,
     )
-
-
-def _composition_index(counts: np.ndarray, target: tuple[int, ...]) -> int:
-    hit = np.flatnonzero((counts == np.asarray(target)).all(axis=1))
-    if len(hit) != 1:
-        raise ValueError(
-            f"counts {target} are not an n={counts[0].sum()} outcome"
-        )
-    return int(hit[0])
 
 
 def member_of_covering(
@@ -165,10 +142,8 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     outcome no more probable than it (ties resolved within LOG_TIE_TOL)."""
     if phat.k != p.k:
         raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    counts = compositions_array(p.k, phat.n)
     logp = outcome_log_pmf(p.k, phat.n, p.as_array())
-    idx = _composition_index(counts, phat.counts)
-    q = logp[idx]
+    q = logp[composition_rank(phat.counts)]
     include = logp <= q + LOG_TIE_TOL
     if bool(include.all()):
         return 1.0  # no outcome is more probable; the sum is exactly total mass
@@ -323,7 +298,7 @@ def levelset_membership_grid(
         raise ValueError("points do not match phat's dimension")
     counts = compositions_array(k, n)
     num = len(counts)
-    idx = _composition_index(counts, phat.counts)
+    idx = composition_rank(phat.counts)
     logcoef = log_coefficients(k, n)
 
     member = np.zeros(len(points), dtype=bool)

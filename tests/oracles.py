@@ -1,9 +1,10 @@
 """Independent oracles for the test suite: exact big-rational pmf sums,
 exhaustive subset search for minimal covering cardinality, a
-one-dimensional boundary-bisection measure for k = 2 regions, and a
-64-step bisection for two-point KL interval endpoints. These stay
-deliberately separate from the library's log-space code paths and its
-Newton KL-bound solver."""
+one-dimensional boundary-bisection measure for k = 2 regions, a
+64-step bisection for two-point KL interval endpoints, and a lexsort with
+a per-run re-sort for the probability ordering. These stay deliberately
+separate from the library's log-space code paths, its Newton KL-bound
+solver and its run-key ordering."""
 from __future__ import annotations
 
 import math
@@ -13,7 +14,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from simplexcr import SimplexPoint, member_of_covering
-from simplexcr.core import iter_compositions, kl_bernoulli_many
+from simplexcr.core import LOG_TIE_TOL, iter_compositions, kl_bernoulli_many
 
 
 def exact_pmf(counts, probs: tuple[Fraction, ...]) -> Fraction:
@@ -136,3 +137,29 @@ def kl_bernoulli_bounds_bisection(mean_hats, levels):
     lower = np.where(done_lo, 0.0, lo_hi)
     upper = np.where(done_hi, 1.0, hi_lo)
     return lower, upper
+
+
+def probability_ordering_lexsort(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """Indices sorting outcomes by probability descending; outcomes whose
+    log-probabilities agree within LOG_TIE_TOL are ordered lexicographically
+    ascending on their count vectors."""
+    k = counts.shape[1]
+    keys = [counts[:, j] for j in range(k - 1, -1, -1)] + [-logp]
+    order = np.lexsort(keys)
+    sorted_logp = logp[order]
+    # Exact float ties are already lex-ordered by the sort keys; re-sort any
+    # run of near-ties that spans distinct float values.
+    start = 0
+    m = len(order)
+    for i in range(1, m + 1):
+        boundary = i == m
+        if not boundary:
+            a, b = sorted_logp[i - 1], sorted_logp[i]
+            boundary = not (a == b or a - b <= LOG_TIE_TOL)
+        if boundary:
+            if i - start > 1:
+                run = order[start:i]
+                sub_keys = [counts[run, j] for j in range(k - 1, -1, -1)]
+                order[start:i] = run[np.lexsort(sub_keys)]
+            start = i
+    return order

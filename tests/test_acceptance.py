@@ -29,7 +29,12 @@ from simplexcr import (
     region_membership,
     simplex_size,
 )
-from simplexcr.core import compositions_array, log_pmf_array, _grid_points
+from simplexcr.core import (
+    _grid_points,
+    compositions_array,
+    log_coefficients,
+    log_pmf_array,
+)
 from simplexcr.regions import (
     levelset_membership_grid,
     polytope_membership_grid,
@@ -234,6 +239,7 @@ def test_criterion_9_bandit_medians_and_identification():
 
 def test_criterion_10_membership_performance_envelope():
     compositions_array.cache_clear()
+    log_coefficients.cache_clear()
     _grid_points.cache_clear()
     phat = EmpiricalDistribution((12, 11, 10, 9, 8))
     p = SimplexPoint((0.25, 0.22, 0.2, 0.18, 0.15))

@@ -47,6 +47,23 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "widths", "--n-list", "10,400000")
         assert code == 2
 
+    def test_oversized_covering_table_exits_2(self, capsys):
+        # about 1.3e9 outcomes: refused before the table is built
+        code, out, err = run_cli(
+            capsys, "covering", "--p", "0.25,0.25,0.25,0.25", "--n", "2000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "outcome table" in err
+
+    def test_oversized_pvalue_table_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pvalue", "--phat", "2000,0,0,0", "--p", "0.25,0.25,0.25,0.25"
+        )
+        assert code == 2
+        assert out == ""
+        assert "outcome table" in err
+
     def test_boundary_mode_needs_k3(self, capsys):
         code, _, _ = run_cli(
             capsys, "region", "--phat", "2,2", "--delta", "0.3", "--mode", "boundary"

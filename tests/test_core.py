@@ -13,7 +13,12 @@ from simplexcr import (
     log_pmf,
     simplex_size,
 )
-from simplexcr.core import compositions_array, kahan_cumsum, log_pmf_array
+from simplexcr.core import (
+    composition_rank,
+    compositions_array,
+    kahan_cumsum,
+    log_pmf_array,
+)
 
 from oracles import exact_log_pmf, point_from_fractions, random_rational_point
 
@@ -247,6 +252,17 @@ class TestSimplexGrid:
 def test_kahan_cumsum_matches_fsum():
     rng = np.random.default_rng(13)
     vals = rng.random(5000) * 1e-6
-    cum = kahan_cumsum(vals)
+    cum = kahan_cumsum(vals, math.inf)
     assert cum[-1] == pytest.approx(math.fsum(vals), abs=1e-18)
     assert cum[10] == pytest.approx(math.fsum(vals[:11]), abs=1e-18)
+    target = float(cum[2500])
+    prefix = kahan_cumsum(vals, target)
+    first = int(np.flatnonzero(cum >= target)[0])
+    assert np.array_equal(prefix, cum[: first + 1])
+
+
+def test_composition_rank_is_row_index():
+    for k in range(1, 7):
+        for n in range(13):
+            rows = compositions_array(k, n).tolist()
+            assert [composition_rank(tuple(r)) for r in rows] == list(range(len(rows)))

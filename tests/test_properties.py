@@ -1,9 +1,9 @@
-"""Property tests of the paper's identities and of the KL-bound solver over
-generated inputs."""
+"""Property tests of the paper's identities, of the probability ordering and
+of the KL-bound solver over generated inputs."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexcr import (
@@ -14,11 +14,11 @@ from simplexcr import (
     member_of_covering,
     region_membership,
 )
-from simplexcr.core import kl_bernoulli
+from simplexcr.core import compositions_array, kl_bernoulli, outcome_log_pmf
 from simplexcr.functionals import kl_bernoulli_bounds_vec
-from simplexcr.regions import levelset_membership_grid
+from simplexcr.regions import _probability_ordering, levelset_membership_grid
 
-from oracles import kl_bernoulli_bounds_bisection
+from oracles import kl_bernoulli_bounds_bisection, probability_ordering_lexsort
 
 
 @st.composite
@@ -68,6 +68,33 @@ def test_scalar_grid_and_collection_agree(case):
             assert member_of_covering(phat, p, delta) == want
             assert region_membership(p, phat, spec) == want
             assert bool(in_grid) == want
+
+
+@st.composite
+def ordering_cases(draw):
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 30))
+    p = draw(simplex_points(k))
+    jitter_seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    return k, n, p, jitter_seed
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(ordering_cases())
+@example((1, 7, SimplexPoint((1.0,)), None))
+@example((3, 0, SimplexPoint.uniform(3), None))
+def test_probability_ordering_matches_lexsort(case):
+    """The run-key ordering equals the lexsort-and-re-sort reference on the
+    log-pmfs of every outcome, -inf entries from zero coordinates included.
+    A seeded jitter by multiples of 3e-10 makes near-tie runs span distinct
+    floats, so that runs chain across more than one LOG_TIE_TOL."""
+    k, n, p, jitter_seed = case
+    logp = outcome_log_pmf(k, n, p.as_array())
+    if jitter_seed is not None:
+        rng = np.random.default_rng(jitter_seed)
+        logp = logp + 3e-10 * rng.integers(-3, 4, size=len(logp))
+    want = probability_ordering_lexsort(compositions_array(k, n), logp)
+    assert np.array_equal(_probability_ordering(logp), want)
 
 
 def mean_hats():

@@ -21,6 +21,7 @@ import numpy as np
 
 from .bandit import METHODS, benchmark_arms, lucb_run
 from .core import (
+    MAX_GRID_POINTS,
     EmpiricalDistribution,
     SimplexGrid,
     SimplexPoint,
@@ -45,9 +46,6 @@ from .regions import (
 from .volume import average_volume
 
 SCHEMA_VERSION = 1
-
-#: most points of a scan grid or an outcome table; checked before either is built
-MAX_GRID_POINTS = 5_000_000
 
 
 @dataclass

@@ -22,6 +22,9 @@ SUM_TOL = 1e-12
 #: two outcomes count as equiprobable when their log-pmfs are this close
 LOG_TIE_TOL = 1e-9
 
+#: most points of a scan grid or an outcome table; checked before either is built
+MAX_GRID_POINTS = 5_000_000
+
 # Finite stand-in for log(0) in vectorized matmul paths. exp() of anything
 # at this scale underflows to exactly 0.0, and 0 * _LOG_ZERO is 0.0 rather
 # than the nan produced by 0 * (-inf).

@@ -1,8 +1,9 @@
 """Confidence intervals for linear functionals of the simplex parameter.
 
-The region-induced interval is extracted by a dense grid scan (Monte Carlo
-for k > 3) widened by the worst-case change of the functional between
-adjacent grid points, giving a resolution-controlled outer approximation.
+The region-induced interval is extracted by an extremal scan of a dense
+grid (a full Monte Carlo scan for k > 3) widened by the worst-case change
+of the functional between adjacent grid points, giving a
+resolution-controlled outer approximation.
 Baselines for width comparisons: the closed-form Hoeffding, oracle
 sub-Gaussian and empirical Bernstein intervals, and the two-point KL
 interval, whose endpoints come from one safeguarded Newton solver.
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     EmpiricalDistribution,
     SimplexGrid,
     SimplexPoint,
     kl_bernoulli,
+    simplex_size,
 )
 from .regions import RegionSpec, membership_grid
 
@@ -80,6 +83,24 @@ class EmptyScanError(RuntimeError):
     """No scan point fell inside the region; rerun with a finer grid."""
 
 
+def _first_member(
+    phat: EmpiricalDistribution,
+    spec: RegionSpec,
+    points: np.ndarray,
+    order: np.ndarray,
+) -> int | None:
+    """Position in ``order`` of the first row of ``points`` in the region,
+    or None; the rows are tested in chunks of 64, 128, 256, ..."""
+    start, size = 0, 64
+    while start < len(order):
+        member = membership_grid(phat, spec, points[order[start : start + size]])
+        if member.any():
+            return start + int(member.argmax())
+        start += size
+        size *= 2
+    return None
+
+
 def functional_interval(
     phat: EmpiricalDistribution,
     f: LinearFunctional,
@@ -91,12 +112,18 @@ def functional_interval(
 ) -> IntervalResult:
     """Range of f over the confidence region of phat, as an interval.
 
-    Scans the resolution-M simplex grid (default max(10n, 150)) and widens
-    the hull of member values by the grid Lipschitz padding
+    Takes the hull of f over the members of the resolution-M simplex grid
+    (default max(10n, 150); more than MAX_GRID_POINTS points is refused
+    before the grid is built) and widens it by the grid Lipschitz padding
     (max_ij |v_i - v_j|) * (k - 1) / M. The padded interval is clamped to
-    the functional's range. For k > 3 dense grids are infeasible and the
-    scan uses ``mc_draws`` uniform Dirichlet proposals instead (``seed``
-    required); the member fraction is reported as ``scan_coverage``.
+    the functional's range. The hull comes from an extremal scan: the grid
+    points sorted by f are tested from each end in chunks of 64, 128, ...
+    points, and the first member from each end holds the least and the
+    greatest member value. Membership is decided per point, whatever the
+    chunk, so the interval is the one a scan of the whole grid gives. For
+    k > 3 dense grids are infeasible and the scan tests all ``mc_draws``
+    uniform Dirichlet proposals instead (``seed`` required); the member
+    fraction is reported as ``scan_coverage``.
     """
     if f.k != phat.k:
         raise ValueError(f"dimension mismatch: {f.k} vs {phat.k}")
@@ -110,19 +137,35 @@ def functional_interval(
     if phat.k <= 3:
         if M is None:
             M = max(10 * phat.n, 150)
+        size = simplex_size(phat.k, M)
+        if size > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid at resolution {M} has {size} points, more than "
+                f"{MAX_GRID_POINTS}; lower M"
+            )
         points = SimplexGrid(phat.k, M).points
-        member = membership_grid(phat, spec, points)
-        if not member.any():
+        fv = points @ vals
+        order = np.argsort(fv, kind="stable")
+        first = _first_member(phat, spec, points, order)
+        if first is None:
             raise EmptyScanError(
                 f"no member among {len(points)} grid points at resolution "
                 f"{M} (kind={spec.kind}, n={spec.n}, delta={spec.delta}); "
                 "the region is nonempty, so rerun with a finer grid"
             )
-        fv = points[member] @ vals
+        # the highest member lies at or after the lowest one along order
+        rest = order[first:][::-1]
+        low, high = order[first], rest[_first_member(phat, spec, points, rest)]
+        if low == high:
+            # a lone member: numpy computes a one-row product as a dot
+            # product, which can round differently from the many-row one
+            f_low = f_high = float((points[[low]] @ vals)[0])
+        else:
+            f_low, f_high = float(fv[low]), float(fv[high])
         pad = (hi_range - lo_range) * (phat.k - 1) / M
         return IntervalResult(
-            lower=max(lo_range, float(fv.min()) - pad),
-            upper=min(hi_range, float(fv.max()) + pad),
+            lower=max(lo_range, f_low - pad),
+            upper=min(hi_range, f_high + pad),
             method=f"{spec.kind}-grid",
             grid_resolution=M,
             conservative_padding=pad,

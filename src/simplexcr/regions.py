@@ -5,8 +5,9 @@ shortest prefix of outcomes, sorted by probability under p, whose mass
 reaches 1 - delta. Inverting that collection gives the minimal
 average-volume confidence region; KL-based Sanov and per-marginal polytope
 regions are provided as baselines, together with the exact p-value, a
-chi-square prefilter, and a sound KL outer bound used to accelerate
-membership queries.
+chi-square prefilter, and the sound KL outer-bound rejection test.
+Level-set membership over many points is pruned by a bound on phat's own
+mass (see levelset_membership_grid), which cannot change an answer.
 """
 from __future__ import annotations
 
@@ -286,9 +287,16 @@ def levelset_membership_grid(
     order. G is an ``np.bincount`` sum of exp(log P_p(x)) per point. Rows at
     or below the floor log(delta) - log(N) - 30 (N outcomes) are left out:
     together they weigh at most delta * exp(-30), and leaving mass out only
-    lowers G, so the floor errs only toward inclusion. The sound KL outer
-    bound (outer_bound_reject's test) prunes points first, and a point under
-    which phat alone has mass above delta is accepted, as G excludes phat.
+    lowers G, so the floor errs only toward inclusion. A point under which
+    phat alone has mass above delta is accepted, as G excludes phat.
+
+    Points are pruned first by phat's own mass. Let q = log P_p(phat). Every
+    outcome not ranked before phat has log-pmf at most q + LOG_TIE_TOL, so
+    1 - G <= N exp(q + LOG_TIE_TOL), and the floor lowers G by at most
+    delta * exp(-30). So if log N + q + LOG_TIE_TOL <= log(delta) - log 2,
+    the floored G is at least 1 - delta/2 - delta * exp(-30) > 1 - delta:
+    p is not a member by the rule above, and the prune changes no answer.
+    It costs one matrix-vector product over the points.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -301,21 +309,19 @@ def levelset_membership_grid(
     idx = composition_rank(phat.counts)
     logcoef = log_coefficients(k, n)
 
+    # phat's own log-pmf under every point, the q of the docstring's prune
+    w = log_weights(points)
+    q_all = logcoef[idx] + w @ np.asarray(phat.counts, dtype=float)
+    keep = math.log(num) + q_all + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
+    cand = np.flatnonzero(keep)
     member = np.zeros(len(points), dtype=bool)
-    if n >= 1:
-        with np.errstate(invalid="ignore"):
-            klvec = kl_to_many(phat.as_point().as_array(), points)
-            keep = 2.0 * k * math.log(n + 1) - n * klvec > math.log(delta)
-        cand = np.flatnonzero(keep)
-    else:
-        cand = np.arange(len(points))
     if len(cand) == 0:
         return member
 
     target = 1.0 - delta
     log_delta = math.log(delta)
     floor = log_delta - math.log(num) - 30.0
-    w = log_weights(points[cand])
+    w = w[cand]
     counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
     batch = max(16, _BATCH_ENTRIES // (8 * num))

@@ -1,10 +1,11 @@
 """Independent oracles for the test suite: exact big-rational pmf sums,
 exhaustive subset search for minimal covering cardinality, a
 one-dimensional boundary-bisection measure for k = 2 regions, a
-64-step bisection for two-point KL interval endpoints, and a lexsort with
-a per-run re-sort for the probability ordering. These stay deliberately
-separate from the library's log-space code paths, its Newton KL-bound
-solver and its run-key ordering."""
+64-step bisection for two-point KL interval endpoints, a lexsort with
+a per-run re-sort for the probability ordering, and the level-set grid
+kernel with its KL outer-bound prune. These stay deliberately separate
+from the library's log-space code paths, its Newton KL-bound solver, its
+run-key ordering and its phat-mass prune."""
 from __future__ import annotations
 
 import math
@@ -13,8 +14,18 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from simplexcr import SimplexPoint, member_of_covering
-from simplexcr.core import LOG_TIE_TOL, iter_compositions, kl_bernoulli_many
+from simplexcr import EmpiricalDistribution, SimplexPoint, member_of_covering
+from simplexcr.core import (
+    LOG_TIE_TOL,
+    composition_rank,
+    compositions_array,
+    iter_compositions,
+    kl_bernoulli_many,
+    kl_to_many,
+    log_coefficients,
+    log_weights,
+)
+from simplexcr.regions import _BATCH_ENTRIES
 
 
 def exact_pmf(counts, probs: tuple[Fraction, ...]) -> Fraction:
@@ -163,3 +174,85 @@ def probability_ordering_lexsort(counts: np.ndarray, logp: np.ndarray) -> np.nda
                 order[start:i] = run[np.lexsort(sub_keys)]
             start = i
     return order
+
+
+def levelset_membership_grid_kl_prune(
+    phat: EmpiricalDistribution, delta: float, points: np.ndarray
+) -> np.ndarray:
+    """Level-set membership of every row of ``points``, as the library
+    computed it before its phat-mass prune: the same rank-mass rule, with
+    points pruned by the method-of-types KL outer bound instead.
+
+    p is in the region iff the mass G of the outcomes ranked before phat
+    under p is below 1 - delta. With D = log P_p(x) - log P_p(phat), x is
+    ranked before phat when D > LOG_TIE_TOL, or when |D| <= LOG_TIE_TOL
+    (the tie band) and x is lexicographically earlier: covering_collection's
+    order. G is an ``np.bincount`` sum of exp(log P_p(x)) per point. Rows at
+    or below the floor log(delta) - log(N) - 30 (N outcomes) are left out:
+    together they weigh at most delta * exp(-30), and leaving mass out only
+    lowers G, so the floor errs only toward inclusion. The sound KL outer
+    bound (outer_bound_reject's test) prunes points first, and a point under
+    which phat alone has mass above delta is accepted, as G excludes phat.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    points = np.asarray(points, dtype=float)
+    n, k = phat.n, phat.k
+    if points.shape[1] != k:
+        raise ValueError("points do not match phat's dimension")
+    counts = compositions_array(k, n)
+    num = len(counts)
+    idx = composition_rank(phat.counts)
+    logcoef = log_coefficients(k, n)
+
+    member = np.zeros(len(points), dtype=bool)
+    if n >= 1:
+        with np.errstate(invalid="ignore"):
+            klvec = kl_to_many(phat.as_point().as_array(), points)
+            keep = 2.0 * k * math.log(n + 1) - n * klvec > math.log(delta)
+        cand = np.flatnonzero(keep)
+    else:
+        cand = np.arange(len(points))
+    if len(cand) == 0:
+        return member
+
+    target = 1.0 - delta
+    log_delta = math.log(delta)
+    floor = log_delta - math.log(num) - 30.0
+    w = log_weights(points[cand])
+    counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
+
+    batch = max(16, _BATCH_ENTRIES // (8 * num))
+    for a in range(0, len(cand), batch):
+        cols = cand[a : a + batch]
+        wb = w[a : a + batch]
+        # Candidate columns are contiguous in grid order, so they are close
+        # on the simplex and the per-batch row bound prunes hard: any row
+        # whose best-case log-pmf over this batch is below the floor can
+        # never be counted.
+        row_bound = logcoef + counts_f @ wb.max(axis=0)
+        kept = row_bound > floor
+        kept[idx] = True
+        new_idx = int(kept[:idx].sum())
+        if len(wb) == 1:  # a one-point batch's row bound is its log-pmf
+            lp = row_bound[kept][:, None]
+        else:
+            lp = logcoef[kept][:, None] + counts_f[kept] @ wb.T
+        lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
+        q = lp[new_idx]
+        quick = q > log_delta
+        member[cols[quick]] = True
+        rest = np.flatnonzero(~quick)
+        if len(rest) == 0:
+            continue
+        lpr = lp[:, rest]
+        hi = q[rest] + LOG_TIE_TOL
+        lo = q[rest] - LOG_TIE_TOL
+        sel = (lpr > hi) | ((lpr <= hi) & (lpr >= lo) & lex_earlier[:, None])
+        sel &= lpr > floor
+        srows, scols = np.nonzero(sel)
+        mass = np.bincount(
+            scols, weights=np.exp(lpr[srows, scols]), minlength=len(rest)
+        )
+        member[cols[rest]] = mass < target
+    return member

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from simplexcr import (
+    KINDS,
     EmpiricalDistribution,
     EmptyScanError,
     LinearFunctional,
@@ -12,6 +13,7 @@ from simplexcr import (
     SimplexGrid,
     SimplexPoint,
     empirical_bernstein_interval,
+    enumerate_simplex,
     functional_interval,
     hoeffding_interval,
     induced_measure_sampler,
@@ -20,6 +22,7 @@ from simplexcr import (
     mixture_point_from_uniform,
     oracle_chernoff_interval,
 )
+from simplexcr.core import MAX_GRID_POINTS, _grid_points, simplex_size
 from simplexcr.functionals import IntervalResult, kl_bernoulli_bounds_vec
 from simplexcr.regions import membership_grid
 
@@ -77,8 +80,6 @@ class TestFunctionalInterval:
         M = 80
         pts = SimplexGrid(3, M).points
         vals = np.asarray(MEAN3.values)
-        from simplexcr import enumerate_simplex
-
         for phat in enumerate_simplex(3, 10):
             for kind in ("levelset", "sanov", "polytope"):
                 spec = RegionSpec(0.3, kind, 10, 3)
@@ -154,6 +155,80 @@ class TestFunctionalInterval:
         spec = RegionSpec(0.99999, "levelset", 15, 3)
         with pytest.raises(EmptyScanError, match="finer grid"):
             functional_interval(phat, MEAN3, 0.99999, spec, M=7)
+
+
+def full_scan_interval(phat, f, delta, spec, M):
+    """The grid interval from membership of every grid point: the member
+    hull of f widened by the grid padding and clamped to f's range; None
+    when no grid point is a member."""
+    points = SimplexGrid(phat.k, M).points
+    member = membership_grid(phat, spec, points)
+    if not member.any():
+        return None
+    fv = points[member] @ np.asarray(f.values)
+    lo_range, hi_range = f.value_range
+    pad = (hi_range - lo_range) * (phat.k - 1) / M
+    return IntervalResult(
+        lower=max(lo_range, float(fv.min()) - pad),
+        upper=min(hi_range, float(fv.max()) + pad),
+        method=f"{spec.kind}-grid",
+        grid_resolution=M,
+        conservative_padding=pad,
+    )
+
+
+class TestExtremalScan:
+    """functional_interval tests the grid from each end of the f order and
+    stops at the first member; its result must equal the full scan's."""
+
+    @pytest.mark.parametrize("k, n, M, f", [
+        (3, 10, 60, MEAN3),
+        (2, 30, 400, LinearFunctional((0.3, -1.7))),
+    ])
+    def test_matches_full_scan_every_outcome(self, k, n, M, f):
+        for phat in enumerate_simplex(k, n):
+            for kind in KINDS:
+                for delta in (0.05, 0.3, 0.7):
+                    spec = RegionSpec(delta, kind, n, k)
+                    want = full_scan_interval(phat, f, delta, spec, M)
+                    try:
+                        got = functional_interval(phat, f, delta, spec, M=M)
+                    except EmptyScanError:
+                        got = None
+                    assert got == want
+
+    def test_members_only_in_last_chunk(self):
+        # chunks of 64, 128, 256, 512 end at row 960 of the f order; the
+        # region of phat sits at the top of f's range, beyond that row
+        phat = EmpiricalDistribution((0, 0, 10))
+        spec = RegionSpec(0.05, "levelset", 10, 3)
+        M = 60
+        points = SimplexGrid(3, M).points
+        order = np.argsort(points @ np.asarray(MEAN3.values), kind="stable")
+        member = membership_grid(phat, spec, points[order])
+        assert len(points) > 960
+        assert member.any() and not member[:960].any()
+        want = full_scan_interval(phat, MEAN3, 0.05, spec, M)
+        assert functional_interval(phat, MEAN3, 0.05, spec, M=M) == want
+
+    def test_lone_member(self):
+        # one member: the full scan's f value is a one-row product
+        phat = EmpiricalDistribution((2, 2, 2))
+        f = LinearFunctional((0.1, 0.2, 0.3))
+        spec = RegionSpec(0.99, "levelset", 6, 3)
+        points = SimplexGrid(3, 7).points
+        assert membership_grid(phat, spec, points).sum() == 1
+        want = full_scan_interval(phat, f, 0.99, spec, 7)
+        assert functional_interval(phat, f, 0.99, spec, M=7) == want
+
+    def test_oversized_grid_refused_before_allocation(self):
+        phat = EmpiricalDistribution((3, 4, 3))
+        spec = RegionSpec(0.3, "levelset", 10, 3)
+        assert simplex_size(3, 100_000) > MAX_GRID_POINTS
+        misses = _grid_points.cache_info().misses
+        with pytest.raises(ValueError, match="lower M"):
+            functional_interval(phat, MEAN3, 0.3, spec, M=100_000)
+        assert _grid_points.cache_info().misses == misses
 
 
 class TestHoeffding:

@@ -1,5 +1,6 @@
-"""Property tests of the paper's identities, of the probability ordering and
-of the KL-bound solver over generated inputs."""
+"""Property tests of the paper's identities, of the probability ordering, of
+the level-set kernel's prune and of the KL-bound solver over generated
+inputs."""
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexcr import (
+    EmpiricalDistribution,
     RegionSpec,
     SimplexPoint,
     covering_collection,
@@ -18,13 +20,19 @@ from simplexcr.core import compositions_array, kl_bernoulli, outcome_log_pmf
 from simplexcr.functionals import kl_bernoulli_bounds_vec
 from simplexcr.regions import _probability_ordering, levelset_membership_grid
 
-from oracles import kl_bernoulli_bounds_bisection, probability_ordering_lexsort
+from oracles import (
+    kl_bernoulli_bounds_bisection,
+    levelset_membership_grid_kl_prune,
+    probability_ordering_lexsort,
+)
 
 
 @st.composite
 def simplex_points(draw, k):
     """A seeded Dirichlet point, the uniform point, a point with one zero
     coordinate, or a point with two equal coordinates."""
+    if k == 1:
+        return SimplexPoint((1.0,))
     shape = draw(st.sampled_from(("dirichlet", "uniform", "zero", "equal")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "dirichlet":
@@ -68,6 +76,32 @@ def test_scalar_grid_and_collection_agree(case):
             assert member_of_covering(phat, p, delta) == want
             assert region_membership(p, phat, spec) == want
             assert bool(in_grid) == want
+
+
+@st.composite
+def prune_cases(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(0, (40, 30, 15, 8, 6)[k - 1]))
+    counts = draw(st.lists(st.integers(0, n), min_size=k, max_size=k))
+    # spread n over the drawn weights, the remainder on the last category
+    total = sum(counts) or 1
+    cells = [c * n // total for c in counts[:-1]]
+    phat = EmpiricalDistribution(tuple(cells) + (n - sum(cells),))
+    delta = draw(st.floats(-12.0, math.log10(0.98)).map(lambda e: 10.0**e))
+    points = draw(st.lists(simplex_points(k), min_size=1, max_size=8))
+    return phat, delta, points
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(prune_cases())
+def test_phat_mass_prune_matches_kl_prune(case):
+    """levelset_membership_grid, pruned by phat's own mass, gives the bits
+    of the same kernel pruned by the KL outer bound, at delta from 1e-12
+    to 0.98, on points with zero and with equal coordinates (ties)."""
+    phat, delta, points = case
+    rows = np.array([p.probs for p in points])
+    want = levelset_membership_grid_kl_prune(phat, delta, rows)
+    assert np.array_equal(levelset_membership_grid(phat, delta, rows), want)
 
 
 @st.composite

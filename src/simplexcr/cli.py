@@ -139,31 +139,23 @@ def _suffixed(out: str | None, tag: str) -> str | None:
 
 
 def _boundary_rows(points: np.ndarray, member: np.ndarray, resolution: int) -> list:
-    """Member grid points adjacent to a non-member (or to the simplex
-    boundary of the scan), ordered by angle for a plottable polyline."""
+    """Member grid points (k = 3) with a non-member neighbour c - e_a + e_b,
+    ordered by angle for a plottable polyline. A neighbour with c_a > 0 is
+    always on the grid, so it is looked up by its first two coordinates."""
     lattice = np.rint(points * resolution).astype(np.int64)
-    index = {tuple(row): i for i, row in enumerate(lattice)}
-    k = points.shape[1]
-    boundary = []
-    for i in np.flatnonzero(member):
-        c = lattice[i]
-        on_edge = False
-        for a in range(k):
-            for b in range(k):
-                if a == b or c[a] == 0:
-                    continue
-                nb = c.copy()
-                nb[a] -= 1
-                nb[b] += 1
-                j = index.get(tuple(nb))
-                if j is None or not member[j]:
-                    on_edge = True
-                    break
-            if on_edge:
-                break
-        if on_edge:
-            boundary.append(i)
-    if not boundary:
+    inside = np.zeros((resolution + 1, resolution + 1), dtype=bool)
+    inside[lattice[:, 0], lattice[:, 1]] = member
+    idx = np.flatnonzero(member)
+    c = lattice[idx]
+    on_edge = np.zeros(len(idx), dtype=bool)
+    for a, b in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        rows = np.flatnonzero(c[:, a] > 0)
+        nb = c[rows]
+        nb[:, a] -= 1
+        nb[:, b] += 1
+        on_edge[rows] |= ~inside[nb[:, 0], nb[:, 1]]
+    boundary = idx[on_edge]
+    if len(boundary) == 0:
         return []
     pts = points[boundary]
     centroid = points[member].mean(axis=0)
@@ -485,6 +477,7 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         if config.k < 1 or config.n < 0:
             parser.error("--k must be >= 1 and --n >= 0")
         _check_size(parser, config.k, config.grid or 300, "grid", "--grid")
+        _check_size(parser, config.k, config.n, "outcome table", "--n")
     if config.subcommand == "covering":
         if config.n < 0:
             parser.error("--n must be >= 0")

@@ -10,7 +10,6 @@ import math
 import sys
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -113,46 +112,28 @@ def simplex_size(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def iter_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all count vectors of length k summing to n, lexicographically
-    ascending. The bars-and-stars bijection keeps this allocation-light."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k == 1:
-        yield (n,)
-        return
-    for bars in combinations(range(n + k - 1), k - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(n + k - 2 - prev)
-        yield tuple(out)
-
-
 @lru_cache(maxsize=8)
 def compositions_array(k: int, n: int) -> np.ndarray:
-    """All count vectors of Delta_{k,n} as a read-only (size, k) int array,
-    rows in lexicographic order: index order breaks probability ties, and a
-    row's index is its ``composition_rank``. Cached; callers must not modify."""
+    """All count vectors of Delta_{k,n} as a read-only (size, k) int64
+    array in lexicographic order: index order breaks probability ties, and a
+    row's index is its ``composition_rank``. Column by column, each partial
+    row with rest units left is repeated rest + 1 times with values 0..rest.
+    More than MAX_GRID_POINTS rows are refused before allocating. Cached."""
     size = simplex_size(k, n)
-    if k == 1:
-        arr = np.array([[n]], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-    bars = np.fromiter(
-        combinations(range(n + k - 1), k - 1),
-        dtype=np.dtype((np.int64, k - 1)),
-        count=size,
-    ).reshape(size, k - 1)
-    arr = np.empty((size, k), dtype=np.int64)
-    arr[:, 0] = bars[:, 0]
-    if k > 2:
-        arr[:, 1 : k - 1] = bars[:, 1:] - bars[:, :-1] - 1
-    arr[:, k - 1] = n + k - 2 - bars[:, -1]
+    if size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"Delta_({k},{n}) has {size} points, more than {MAX_GRID_POINTS}; "
+            "no outcome table or grid that large is built"
+        )
+    arr = np.empty((1, 0), dtype=np.int64)
+    rest = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        reps = rest + 1
+        arr = np.repeat(arr, reps, axis=0)
+        v = np.arange(len(arr)) - np.repeat(np.cumsum(reps) - reps, reps)
+        arr = np.column_stack((arr, v))
+        rest = np.repeat(rest, reps) - v
+    arr = np.column_stack((arr, rest))
     arr.setflags(write=False)
     return arr
 
@@ -176,22 +157,29 @@ def log_coefficients(k: int, n: int) -> np.ndarray:
     """Log multinomial coefficients log(n! / prod c_j!) of the rows of
     ``compositions_array(k, n)``, in the same order, as a read-only array.
     Cached; callers must not modify."""
-    counts = compositions_array(k, n)
-    out = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    out = _log_coefficients(compositions_array(k, n))
     out.setflags(write=False)
     return out
 
 
+def _log_coefficients(counts: np.ndarray) -> np.ndarray:
+    """log(n! / prod c_j!) per count row, n its row sum, via a gammaln table."""
+    n = counts.sum(axis=1)
+    lg = gammaln(np.arange(n.max(initial=0) + 2))
+    return lg[n + 1] - lg[counts + 1].sum(axis=1)
+
+
 def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
-    """All empirical distributions from n samples over k categories, in
-    lexicographic order. n = 0 gives the single all-zero count vector."""
+    """The rows of ``compositions_array(k, n)``, lexicographic, as empirical
+    distributions. n = 0 gives the single all-zero count vector."""
     size = simplex_size(k, n)
     if size > sys.maxsize:
         raise OverflowError(
             f"enumerating Delta_({k},{n}) needs capacity for {size} elements, "
             f"beyond the platform integer range {sys.maxsize}"
         )
-    return [EmpiricalDistribution(c) for c in iter_compositions(k, n)]
+    rows = compositions_array(k, n).tolist()
+    return [EmpiricalDistribution(tuple(r)) for r in rows]
 
 
 def log_pmf(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
@@ -221,9 +209,7 @@ def log_pmf_array(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if counts.shape[1] != p.shape[0]:
         raise ValueError("dimension mismatch between counts and probabilities")
-    n = counts.sum(axis=1)
-    logcoef = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
-    return _finite_to_inf(logcoef + counts @ log_weights(p))
+    return _finite_to_inf(_log_coefficients(counts) + counts @ log_weights(p))
 
 
 def outcome_log_pmf(k: int, n: int, probs: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import chdtrc, chdtri
@@ -65,9 +66,12 @@ class RegionSpec:
 class CoveringCollection:
     """Minimal prefix of the probability-descending outcome ordering whose
     cumulative mass reaches 1 - delta. Ties in probability are ordered
-    lexicographically on counts, so the collection is deterministic."""
+    lexicographically on counts, so the collection is deterministic. Held as
+    row indices into ``compositions_array(k, n)``; ``members`` is built on
+    first use, and ``phat in c`` looks up phat's ``composition_rank``."""
 
-    members: tuple[EmpiricalDistribution, ...]
+    rows: tuple[int, ...]
+    n: int
     cumulative: tuple[float, ...]
     total_mass: float
     p: SimplexPoint
@@ -79,14 +83,27 @@ class CoveringCollection:
             raise ValueError(
                 f"collection mass {self.total_mass} below required {target}"
             )
-        if len(self.members) > 1 and self.cumulative[-2] >= target:
+        if len(self.rows) > 1 and self.cumulative[-2] >= target:
             raise ValueError("prefix is not minimal: last member is redundant")
 
+    @cached_property
+    def members(self) -> tuple[EmpiricalDistribution, ...]:
+        rows = compositions_array(self.p.k, self.n)[list(self.rows)].tolist()
+        return tuple(EmpiricalDistribution(tuple(r)) for r in rows)
+
+    @cached_property
+    def _row_set(self) -> frozenset[int]:
+        return frozenset(self.rows)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
 
     def __contains__(self, phat: EmpiricalDistribution) -> bool:
-        return phat in self.members
+        return (
+            phat.k == self.p.k
+            and phat.n == self.n
+            and composition_rank(phat.counts) in self._row_set
+        )
 
 
 def _probability_ordering(logp: np.ndarray) -> np.ndarray:
@@ -119,9 +136,9 @@ def covering_collection(
     logp = outcome_log_pmf(p.k, n, p.as_array())
     order = _probability_ordering(logp)
     cum = kahan_cumsum(np.exp(logp[order]), 1.0 - delta)
-    rows = compositions_array(p.k, n)[order[: len(cum)]].tolist()
     return CoveringCollection(
-        members=tuple(EmpiricalDistribution(tuple(r)) for r in rows),
+        rows=tuple(order[: len(cum)].tolist()),
+        n=n,
         cumulative=tuple(cum.tolist()),
         total_mass=float(cum[-1]),
         p=p,

@@ -1,16 +1,18 @@
-"""Independent oracles for the test suite: exact big-rational pmf sums,
-exhaustive subset search for minimal covering cardinality, a
-one-dimensional boundary-bisection measure for k = 2 regions, a
-64-step bisection for two-point KL interval endpoints, a lexsort with
-a per-run re-sort for the probability ordering, and the level-set grid
-kernel with its KL outer-bound prune. These stay deliberately separate
-from the library's log-space code paths, its Newton KL-bound solver, its
-run-key ordering and its phat-mass prune."""
+"""Independent oracles for the test suite: the bars-and-stars outcome
+enumeration, exact big-rational pmf sums, exhaustive subset search for
+minimal covering cardinality, a one-dimensional boundary-bisection
+measure for k = 2 regions, a 64-step bisection for two-point KL interval
+endpoints, a lexsort with a per-run re-sort for the probability ordering,
+and the level-set grid kernel with its KL outer-bound prune. These stay
+deliberately separate from the library's arithmetic outcome table, its
+log-space code paths, its Newton KL-bound solver, its run-key ordering
+and its phat-mass prune."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -19,13 +21,32 @@ from simplexcr.core import (
     LOG_TIE_TOL,
     composition_rank,
     compositions_array,
-    iter_compositions,
     kl_bernoulli_many,
     kl_to_many,
     log_coefficients,
     log_weights,
 )
 from simplexcr.regions import _BATCH_ENTRIES
+
+
+def iter_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield all count vectors of length k summing to n, lexicographically
+    ascending. The bars-and-stars bijection keeps this allocation-light."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if k == 1:
+        yield (n,)
+        return
+    for bars in combinations(range(n + k - 1), k - 1):
+        prev = -1
+        out = []
+        for b in bars:
+            out.append(b - prev - 1)
+            prev = b
+        out.append(n + k - 2 - prev)
+        yield tuple(out)
 
 
 def exact_pmf(counts, probs: tuple[Fraction, ...]) -> Fraction:

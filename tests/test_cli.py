@@ -64,6 +64,15 @@ class TestUsageErrors:
         assert out == ""
         assert "outcome table" in err
 
+    def test_oversized_volume_table_exits_2(self, capsys):
+        # 70,058,751 outcomes on a small grid: refused before enumeration
+        code, out, err = run_cli(
+            capsys, "volume", "--k", "5", "--n", "200", "--grid", "50"
+        )
+        assert code == 2
+        assert out == ""
+        assert "outcome table" in err and "lower --n" in err
+
     def test_boundary_mode_needs_k3(self, capsys):
         code, _, _ = run_cli(
             capsys, "region", "--phat", "2,2", "--delta", "0.3", "--mode", "boundary"

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from simplexcr import (
     EmpiricalDistribution,
@@ -14,13 +16,20 @@ from simplexcr import (
     simplex_size,
 )
 from simplexcr.core import (
+    MAX_GRID_POINTS,
     composition_rank,
     compositions_array,
     kahan_cumsum,
+    log_coefficients,
     log_pmf_array,
 )
 
-from oracles import exact_log_pmf, point_from_fractions, random_rational_point
+from oracles import (
+    exact_log_pmf,
+    iter_compositions,
+    point_from_fractions,
+    random_rational_point,
+)
 
 
 class TestEmpiricalDistribution:
@@ -106,9 +115,33 @@ class TestEnumeration:
             enumerate_simplex(60, 60)
 
     def test_compositions_array_matches_iterator(self):
-        arr = compositions_array(3, 4)
-        assert arr.shape == (15, 3)
-        assert [tuple(r) for r in arr] == [e.counts for e in enumerate_simplex(3, 4)]
+        for k in range(1, 7):
+            for n in range(0, 11):
+                arr = compositions_array(k, n)
+                assert arr.dtype == np.int64
+                assert not arr.flags.writeable
+                assert arr.shape == (simplex_size(k, n), k)
+                assert [tuple(r) for r in arr.tolist()] == list(iter_compositions(k, n))
+
+    def test_compositions_array_refuses_oversized_table(self):
+        # (3, 3161) has 5,000,703 rows, just past the budget
+        assert simplex_size(3, 3161) > MAX_GRID_POINTS >= simplex_size(3, 3160)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"\(3,3161\).*{MAX_GRID_POINTS}"):
+                compositions_array(3, 3161)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the table would take 120 MB
+
+    def test_log_coefficients_match_gammaln(self):
+        for k, n in [(1, 7), (2, 0), (3, 0), (3, 40), (4, 12), (5, 9)]:
+            counts = compositions_array(k, n)
+            want = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+            got = log_coefficients(k, n)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
 
 class TestLogPmf:

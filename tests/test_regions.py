@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -39,10 +40,12 @@ from oracles import (
     exact_p_value,
     min_covering_size_bruteforce,
     point_from_fractions,
+    probability_ordering_lexsort,
     random_rational_point,
 )
 
 UNIFORM3 = SimplexPoint.uniform(3)
+P5 = SimplexPoint((0.3, 0.3, 0.2, 0.1, 0.1))
 
 
 class TestRegionSpec:
@@ -106,6 +109,55 @@ class TestCoveringCollection:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             covering_collection(UNIFORM3, 5, 0.0)
+
+    def test_contains_by_row_index(self):
+        cc = covering_collection(P5, 12, 0.2)
+        assert cc.members[0] in cc
+        assert cc.members[-1] in cc
+        assert EmpiricalDistribution((12, 0, 0, 0, 0)) not in cc
+        assert EmpiricalDistribution((4, 4, 2, 1, 2)) not in cc  # n = 13
+        assert EmpiricalDistribution((4, 4, 2, 2)) not in cc  # k = 4
+        inside = {m.counts for m in cc.members}
+        for phat in enumerate_simplex(5, 12):
+            assert (phat in cc) == (phat.counts in inside)
+
+    def test_members_built_only_when_read(self, monkeypatch):
+        calls = []
+        init = EmpiricalDistribution.__post_init__
+        monkeypatch.setattr(
+            EmpiricalDistribution,
+            "__post_init__",
+            lambda self: calls.append(1) or init(self),
+        )
+        cc = covering_collection(P5, 12, 0.2)
+        assert EmpiricalDistribution((4, 4, 2, 1, 1)) in cc
+        assert len(calls) == 1
+        assert len(cc.members) == len(cc) == len(calls) - 1
+        assert cc.members is cc.members
+
+    def test_equal_builds_are_equal_and_hash_equal(self):
+        a = covering_collection(P5, 12, 0.2)
+        b = covering_collection(P5, 12, 0.2)
+        a.members  # a cached members tuple does not enter == or hash
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != covering_collection(P5, 12, 0.3)
+
+    def test_members_order_pinned_k5(self):
+        # a tie-rich case; the digest pins the members and their order
+        cc = covering_collection(P5, 12, 0.2)
+        got = [m.counts for m in cc.members]
+        assert len(got) == 283
+        assert got[0] == (4, 4, 2, 1, 1)
+        assert got[-1] == (5, 1, 4, 0, 2)
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert digest == (
+            "55eeadb543c04117bdf87decf17263e746f6b3448af4666941347c7c09c1b9c2"
+        )
+        counts = compositions_array(5, 12)
+        logp = log_pmf_array(counts, P5.as_array())
+        order = probability_ordering_lexsort(counts, logp)
+        assert got == [tuple(r) for r in counts[order[: len(got)]].tolist()]
 
 
 class TestMemberOfCovering:

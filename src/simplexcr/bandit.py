@@ -1,17 +1,16 @@
 """Best-arm identification with LUCB over categorical arms.
 
 Each arm is a categorical distribution with per-category payoffs; arms are
-compared through confidence intervals on their mean payoff, built by a
-pluggable construction. The sampling rule sees only interval endpoints, so
-swapping constructions changes nothing but the endpoint values.
+compared through confidence intervals on their mean payoff. Every
+construction is one bounds object with the same two calls:
+``bounds(counts, means, ns, delta_t) -> (lcb, ucb)`` gives the round's
+endpoints, and ``bounds.confirm(counts, delta_t, leader, tolerance, t)``
+decides whether a stop those endpoints allow holds. The loop picks the
+object by method name and sees nothing else, so swapping constructions
+changes nothing but the endpoint values and the confirmation.
 
 Per-round error budget: at round t every arm's interval is built at
 delta / (K * t * (t + 1)), which sums to delta over all arms and rounds.
-
-With level-set intervals the per-round endpoints come from the cheap
-chi-square approximation of the region; whenever that approximation says
-the race is over, the stopping condition is re-checked with exact
-level-set intervals, and only an exact pass stops the run.
 """
 from __future__ import annotations
 
@@ -28,8 +27,6 @@ from .functionals import (
     kl_bernoulli_bounds_vec,
 )
 from .regions import RegionSpec, chi2_membership_grid
-
-METHODS = ("levelset", "kl-bernoulli", "hoeffding")
 
 _BENCHMARK_PMFS = (
     (0.1, 0.6, 0.3),
@@ -78,7 +75,7 @@ def benchmark_arms() -> list[Arm]:
 
 class _MeanBounds:
     """Endpoints from the arms' sample means, scaled to each arm's payoff
-    range [los, los + spans]."""
+    range [los, los + spans]; every stop they allow holds."""
 
     def __init__(self, arms: list[Arm]):
         self.spans = np.array(
@@ -86,9 +83,12 @@ class _MeanBounds:
         )
         self.los = np.array([arm.values.value_range[0] for arm in arms])
 
+    def confirm(self, counts, delta_t, leader, tolerance, t) -> bool:
+        return True
+
 
 class _HoeffdingBounds(_MeanBounds):
-    def __call__(self, means, ns, delta_t):
+    def __call__(self, counts, means, ns, delta_t):
         radius = self.spans * np.sqrt(math.log(2.0 / delta_t) / (2.0 * ns))
         lcb = np.maximum(means - radius, self.los)
         ucb = np.minimum(means + radius, self.los + self.spans)
@@ -96,7 +96,7 @@ class _HoeffdingBounds(_MeanBounds):
 
 
 class _KlBernoulliBounds(_MeanBounds):
-    def __call__(self, means, ns, delta_t):
+    def __call__(self, counts, means, ns, delta_t):
         span = np.where(self.spans > 0.0, self.spans, 1.0)
         scaled = np.clip((means - self.los) / span, 0.0, 1.0)
         levels = math.log(2.0 / delta_t) / ns
@@ -108,52 +108,74 @@ class _KlBernoulliBounds(_MeanBounds):
         )
 
 
-class _ChiSquareLevelSetBounds:
-    """Approximate level-set interval endpoints from the chi-square region
-    over a fixed scan grid. Screening only; never the stopping authority."""
+class _LevelSetBounds:
+    """Level-set intervals, screened cheaply and confirmed exactly.
 
-    def __init__(self, arms: list[Arm], resolution: int):
-        self.resolution = resolution
-        self.arms = arms
-        self.grids = {}
-        self.fvals = []
-        for arm in arms:
-            k = arm.pmf.k
-            if k not in self.grids:
-                self.grids[k] = SimplexGrid(k, resolution).points
-            self.fvals.append(self.grids[k] @ np.asarray(arm.values.values))
+    Screen: each round's endpoints are the extremes of the arm's payoff over
+    the resolution-96 grid points inside the chi-square approximation of
+    the region, padded by the grid's Lipschitz term (the payoff range when
+    no point is inside). Confirm: a stop the screen allows holds only if
+    exact level-set intervals at resolution 120 (``functional_interval``)
+    also put the leader's lower end above every rival's upper end minus the
+    tolerance. Backoff: after the f-th failed confirmation none is tried for
+    min(512, 16 * 2^(f-1)) rounds. The exact intervals scan a dense grid,
+    so arms may have at most three categories.
+    """
 
-    def __call__(self, counts, ns, delta_t):
-        lcb = np.empty(len(self.arms))
-        ucb = np.empty(len(self.arms))
-        for a, arm in enumerate(self.arms):
-            lo, hi = arm.values.value_range
-            phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
-            member = chi2_membership_grid(phat, delta_t, self.grids[arm.pmf.k])
-            if not member.any():
-                lcb[a], ucb[a] = lo, hi
-                continue
-            fv = self.fvals[a][member]
-            pad = (hi - lo) * (arm.pmf.k - 1) / self.resolution
-            lcb[a] = max(lo, float(fv.min()) - pad)
-            ucb[a] = min(hi, float(fv.max()) + pad)
-        return lcb, ucb
+    SCREEN_RESOLUTION = 96
+    REFINE_RESOLUTION = 120
 
-
-def _exact_levelset_bounds(arms, counts, delta_t, resolution):
-    lcb = np.empty(len(arms))
-    ucb = np.empty(len(arms))
-    for a, arm in enumerate(arms):
-        phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
-        spec = RegionSpec(delta_t, "levelset", phat.n, phat.k)
-        try:
-            iv = functional_interval(
-                phat, arm.values, delta_t, spec, M=resolution
+    def __init__(self, arms: list[Arm]):
+        if any(arm.pmf.k > 3 for arm in arms):
+            raise ValueError(
+                "levelset LUCB needs arms with k <= 3 categories: its exact "
+                "intervals scan a dense simplex grid, built only for k <= 3"
             )
-            lcb[a], ucb[a] = iv.lower, iv.upper
-        except EmptyScanError:
-            lcb[a], ucb[a] = arm.values.value_range
-    return lcb, ucb
+        self.arms = arms
+        self.grids = [SimplexGrid(a.pmf.k, self.SCREEN_RESOLUTION).points for a in arms]
+        self.fvals = [g @ np.asarray(a.values.values) for g, a in zip(self.grids, arms)]
+        self.fails = 0
+        self.next_exact_round = 0
+
+    def __call__(self, counts, means, ns, delta_t):
+        ends = np.array([arm.values.value_range for arm in self.arms])
+        for a, arm in enumerate(self.arms):
+            phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
+            member = chi2_membership_grid(phat, delta_t, self.grids[a])
+            if member.any():
+                lo, hi = ends[a]
+                fv = self.fvals[a][member]
+                pad = (hi - lo) * (arm.pmf.k - 1) / self.SCREEN_RESOLUTION
+                ends[a] = max(lo, fv.min() - pad), min(hi, fv.max() + pad)
+        return ends[:, 0], ends[:, 1]
+
+    def confirm(self, counts, delta_t, leader, tolerance, t) -> bool:
+        if t < self.next_exact_round:
+            return False
+        ends = np.array([arm.values.value_range for arm in self.arms])
+        for a, arm in enumerate(self.arms):
+            phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
+            spec = RegionSpec(delta_t, "levelset", phat.n, phat.k)
+            try:
+                iv = functional_interval(
+                    phat, arm.values, delta_t, spec, M=self.REFINE_RESOLUTION
+                )
+                ends[a] = iv.lower, iv.upper
+            except EmptyScanError:  # no member: keep the payoff range
+                pass
+        if ends[leader, 0] >= np.delete(ends[:, 1], leader).max() - tolerance:
+            return True
+        self.fails += 1
+        self.next_exact_round = t + min(512, 16 * 2 ** (self.fails - 1))
+        return False
+
+
+_BOUNDS = {
+    "levelset": _LevelSetBounds,
+    "kl-bernoulli": _KlBernoulliBounds,
+    "hoeffding": _HoeffdingBounds,
+}
+METHODS = tuple(_BOUNDS)
 
 
 def lucb_run(
@@ -163,11 +185,10 @@ def lucb_run(
     method: str,
     seed: int,
     sample_cap: int = 1_000_000,
-    screen_resolution: int = 96,
-    refine_resolution: int = 120,
 ) -> BanditRun:
     """Run LUCB until the leader's lower bound clears every rival's upper
-    bound minus ``tolerance``, or the sample cap is hit (completed=False).
+    bound minus ``tolerance`` and the bounds object confirms the stop, or
+    the sample cap is hit (completed=False).
 
     Deterministic given (arms, delta, tolerance, method, seed).
     """
@@ -178,21 +199,12 @@ def lucb_run(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
+    bounds = _BOUNDS[method](arms)
     num_arms = len(arms)
     rng = np.random.default_rng(seed)
     pmfs = [arm.pmf.as_array() for arm in arms]
     vals = [np.asarray(arm.values.values) for arm in arms]
     counts = [np.zeros(arm.pmf.k, dtype=np.int64) for arm in arms]
-
-    if method == "hoeffding":
-        bounds = _HoeffdingBounds(arms)
-        mean_based = True
-    elif method == "kl-bernoulli":
-        bounds = _KlBernoulliBounds(arms)
-        mean_based = True
-    else:
-        bounds = _ChiSquareLevelSetBounds(arms, screen_resolution)
-        mean_based = False
 
     def pull(a: int) -> None:
         cat = rng.choice(len(pmfs[a]), p=pmfs[a])
@@ -203,36 +215,21 @@ def lucb_run(
     samples = num_arms
 
     t = 0
-    fails = 0
-    next_exact_round = 0
     while True:
         t += 1
         delta_t = delta / (num_arms * t * (t + 1))
         ns = np.array([c.sum() for c in counts], dtype=float)
         means = np.array([counts[a] @ vals[a] / ns[a] for a in range(num_arms)])
-        if mean_based:
-            lcb, ucb = bounds(means, ns, delta_t)
-        else:
-            lcb, ucb = bounds(counts, ns, delta_t)
+        lcb, ucb = bounds(counts, means, ns, delta_t)
 
         leader = int(np.argmax(means))
         rival_ucb = ucb.copy()
         rival_ucb[leader] = -np.inf
         challenger = int(np.argmax(rival_ucb))
 
-        completed = False
-        if lcb[leader] >= ucb[challenger] - tolerance:
-            if mean_based:
-                completed = True
-            elif t >= next_exact_round:
-                elcb, eucb = _exact_levelset_bounds(
-                    arms, counts, delta_t, refine_resolution
-                )
-                rival = max(eucb[b] for b in range(num_arms) if b != leader)
-                completed = bool(elcb[leader] >= rival - tolerance)
-                if not completed:
-                    fails += 1
-                    next_exact_round = t + min(512, 16 * 2 ** (fails - 1))
+        completed = bool(
+            lcb[leader] >= ucb[challenger] - tolerance
+        ) and bounds.confirm(counts, delta_t, leader, tolerance, t)
 
         if completed or samples + 2 > sample_cap:
             return BanditRun(

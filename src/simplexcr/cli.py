@@ -25,6 +25,7 @@ from .core import (
     EmpiricalDistribution,
     SimplexGrid,
     SimplexPoint,
+    compositions_array,
     simplex_size,
 )
 from .functionals import (
@@ -217,13 +218,14 @@ def cmd_region(config: RunConfig) -> int:
 def cmd_covering(config: RunConfig) -> int:
     p = SimplexPoint(config.p)
     collection = covering_collection(p, config.n, config.delta)
+    members = compositions_array(p.k, config.n)[list(collection.rows)].tolist()
     if config.fmt == "json":
         payload = {
             "p": list(p.probs),
             "n": config.n,
             "delta": config.delta,
             "total_mass": collection.total_mass,
-            "members": [list(m.counts) for m in collection.members],
+            "members": members,
             "cumulative": list(collection.cumulative),
         }
         _write_text(config.out, _json_text(payload))
@@ -231,10 +233,8 @@ def cmd_covering(config: RunConfig) -> int:
     header = ["rank"] + [f"c{i + 1}" for i in range(p.k)] + ["probability", "cumulative"]
     rows = []
     prev = 0.0
-    for rank, (m, cum) in enumerate(
-        zip(collection.members, collection.cumulative), start=1
-    ):
-        rows.append(list((rank, *m.counts)) + [repr(cum - prev), repr(cum)])
+    for rank, (m, cum) in enumerate(zip(members, collection.cumulative), start=1):
+        rows.append([rank, *m, repr(cum - prev), repr(cum)])
         prev = cum
     _write_text(config.out, _csv_text(header, rows))
     return 0

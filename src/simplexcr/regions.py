@@ -412,20 +412,15 @@ def membership_grid(
 def chi2_membership_grid(
     phat: EmpiricalDistribution, delta: float, points: np.ndarray
 ) -> np.ndarray:
-    """Approximate level-set membership from the chi-square tail; rows with
-    a zero coordinate are reported as non-members (prefilter unavailable
-    there). Advisory screening only."""
+    """Approximate level-set membership from the chi-square tail. Advisory
+    screening only. No row is masked out: a row with a zero coordinate gets
+    a statistic of inf (where phat's coordinate is positive) or nan (0/0),
+    and both fail ``stat <= threshold``, so such rows are non-members."""
     points = np.asarray(points, dtype=float)
-    n, k = phat.n, phat.k
-    member = np.zeros(len(points), dtype=bool)
-    interior = (points > 0.0).all(axis=1)
-    if not interior.any():
-        return member
     fr = phat.as_point().as_array()
-    g = points[interior]
-    stat = n * ((fr - g) ** 2 / g).sum(axis=1)
-    member[interior] = stat <= chdtri(k - 1, delta)
-    return member
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = phat.n * ((fr - points) ** 2 / points).sum(axis=1)
+    return stat <= chdtri(phat.k - 1, delta)
 
 
 def covering_sizes_grid(

@@ -3,10 +3,11 @@ enumeration, exact big-rational pmf sums, exhaustive subset search for
 minimal covering cardinality, a one-dimensional boundary-bisection
 measure for k = 2 regions, a 64-step bisection for two-point KL interval
 endpoints, a lexsort with a per-run re-sort for the probability ordering,
-and the level-set grid kernel with its KL outer-bound prune. These stay
-deliberately separate from the library's arithmetic outcome table, its
-log-space code paths, its Newton KL-bound solver, its run-key ordering
-and its phat-mass prune."""
+the level-set grid kernel with its KL outer-bound prune, and the
+chi-square screen with its zero-coordinate mask. These stay deliberately
+separate from the library's arithmetic outcome table, its log-space code
+paths, its Newton KL-bound solver, its run-key ordering, its phat-mass
+prune and its mask-free screen."""
 from __future__ import annotations
 
 import math
@@ -15,6 +16,7 @@ from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
+from scipy.special import chdtri
 
 from simplexcr import EmpiricalDistribution, SimplexPoint, member_of_covering
 from simplexcr.core import (
@@ -276,4 +278,23 @@ def levelset_membership_grid_kl_prune(
             scols, weights=np.exp(lpr[srows, scols]), minlength=len(rest)
         )
         member[cols[rest]] = mass < target
+    return member
+
+
+def chi2_membership_grid_masked(
+    phat: EmpiricalDistribution, delta: float, points: np.ndarray
+) -> np.ndarray:
+    """Chi-square screen membership as the library computed it before it
+    dropped its mask: rows with a zero coordinate are set aside up front
+    and reported as non-members; the statistic is computed on the rest."""
+    points = np.asarray(points, dtype=float)
+    n, k = phat.n, phat.k
+    member = np.zeros(len(points), dtype=bool)
+    interior = (points > 0.0).all(axis=1)
+    if not interior.any():
+        return member
+    fr = phat.as_point().as_array()
+    g = points[interior]
+    stat = n * ((fr - g) ** 2 / g).sum(axis=1)
+    member[interior] = stat <= chdtri(k - 1, delta)
     return member

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from simplexcr import (
     lucb_run,
 )
 from simplexcr import bandit
-from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds
+from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
 
-from oracles import kl_bernoulli_bounds_bisection
+from oracles import chi2_membership_grid_masked, kl_bernoulli_bounds_bisection
 
 
 def deterministic_arms() -> list[Arm]:
@@ -89,12 +91,70 @@ class TestStrategyIsolation:
         monkeypatch.setattr(
             _KlBernoulliBounds,
             "__call__",
-            lambda self, means, ns, delta_t: hoeffding(means, ns, delta_t),
+            lambda self, counts, means, ns, delta_t: hoeffding(
+                counts, means, ns, delta_t
+            ),
         )
         disguised = lucb_run(arms, 0.2, 0.0, "kl-bernoulli", seed=13)
         assert disguised.stopping_time == reference.stopping_time
         assert disguised.identified_arm == reference.identified_arm
         assert disguised.per_arm_counts == reference.per_arm_counts
+
+    def test_levelset_confirmation_lives_in_its_bounds(self, monkeypatch):
+        """A level-set bounds object that emits hoeffding endpoints and
+        confirms every stop reproduces the hoeffding run: the loop holds no
+        level-set refinement of its own."""
+        arms = benchmark_arms()
+        reference = lucb_run(arms, 0.2, 0.0, "hoeffding", seed=13)
+
+        hoeffding = _HoeffdingBounds(arms)
+        monkeypatch.setattr(
+            _LevelSetBounds,
+            "__call__",
+            lambda self, counts, means, ns, delta_t: hoeffding(
+                counts, means, ns, delta_t
+            ),
+        )
+        confirmed = []
+        monkeypatch.setattr(
+            _LevelSetBounds, "confirm", lambda self, *args: not confirmed.append(args)
+        )
+        disguised = lucb_run(arms, 0.2, 0.0, "levelset", seed=13)
+        assert len(confirmed) == 1  # asked once, at the screened stop
+        assert disguised.stopping_time == reference.stopping_time
+        assert disguised.identified_arm == reference.identified_arm
+        assert disguised.per_arm_counts == reference.per_arm_counts
+
+
+class TestLevelSetBounds:
+    def test_runs_equal_under_masked_screen_oracle(self, monkeypatch):
+        """The mask-free chi-square screen and the masked screen it replaced
+        give the same level-set LUCB runs."""
+        arms = benchmark_arms()
+        runs = [lucb_run(arms, 0.2, 0.1, "levelset", seed=s) for s in range(5)]
+        monkeypatch.setattr(bandit, "chi2_membership_grid", chi2_membership_grid_masked)
+        for seed, run in enumerate(runs):
+            assert lucb_run(arms, 0.2, 0.1, "levelset", seed=seed) == run
+
+    def test_refuses_more_than_three_categories_up_front(self, monkeypatch):
+        """Exact level-set intervals scan a dense grid, which exists only
+        for k <= 3: four-category arms are refused before any grid is
+        built or any arm is pulled."""
+        values = LinearFunctional((0.0, 0.25, 0.75, 1.0))
+        arms = [
+            Arm(SimplexPoint((0.1, 0.2, 0.3, 0.4)), values),
+            Arm(SimplexPoint((0.4, 0.3, 0.2, 0.1)), values),
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid or sampler built before the k check")
+
+        monkeypatch.setattr(bandit, "SimplexGrid", forbidden)
+        monkeypatch.setattr(bandit.np.random, "default_rng", forbidden)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="k <= 3"):
+            lucb_run(arms, 0.1, 0.0, "levelset", seed=1)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestKlSolver:
@@ -122,7 +182,7 @@ class TestMethodOrdering:
             ns = rng.integers(1, 200, size=5).astype(float)
             means = rng.uniform(0, 1, size=5)
             delta_t = float(rng.uniform(1e-6, 0.2))
-            h_lo, h_hi = hoeff(means, ns, delta_t)
-            k_lo, k_hi = kl(means, ns, delta_t)
+            h_lo, h_hi = hoeff(None, means, ns, delta_t)
+            k_lo, k_hi = kl(None, means, ns, delta_t)
             assert (k_lo >= h_lo - 1e-12).all()
             assert (k_hi <= h_hi + 1e-12).all()

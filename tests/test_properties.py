@@ -1,6 +1,6 @@
 """Property tests of the paper's identities, of the probability ordering, of
-the level-set kernel's prune and of the KL-bound solver over generated
-inputs."""
+the level-set kernel's prune, of the chi-square screen and of the KL-bound
+solver over generated inputs."""
 import math
 
 import numpy as np
@@ -16,11 +16,25 @@ from simplexcr import (
     member_of_covering,
     region_membership,
 )
-from simplexcr.core import compositions_array, kl_bernoulli, outcome_log_pmf
-from simplexcr.functionals import kl_bernoulli_bounds_vec
-from simplexcr.regions import _probability_ordering, levelset_membership_grid
+from simplexcr.core import (
+    SimplexGrid,
+    compositions_array,
+    kl_bernoulli,
+    outcome_log_pmf,
+)
+from simplexcr.functionals import (
+    hoeffding_interval,
+    kl_bernoulli_bounds_vec,
+    kl_bernoulli_interval,
+)
+from simplexcr.regions import (
+    _probability_ordering,
+    chi2_membership_grid,
+    levelset_membership_grid,
+)
 
 from oracles import (
+    chi2_membership_grid_masked,
     kl_bernoulli_bounds_bisection,
     levelset_membership_grid_kl_prune,
     probability_ordering_lexsort,
@@ -102,6 +116,55 @@ def test_phat_mass_prune_matches_kl_prune(case):
     rows = np.array([p.probs for p in points])
     want = levelset_membership_grid_kl_prune(phat, delta, rows)
     assert np.array_equal(levelset_membership_grid(phat, delta, rows), want)
+
+
+def log_uniform_deltas(top):
+    return st.floats(-12.0, math.log10(top)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def screen_cases(draw):
+    k = draw(st.integers(2, 4))
+    M = draw(st.integers(10, 120))
+    counts = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(0, 400)), min_size=k, max_size=k
+        ).filter(lambda c: sum(c) >= 1)
+    )
+    return EmpiricalDistribution(tuple(counts)), draw(log_uniform_deltas(0.99)), k, M
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(screen_cases())
+def test_mask_free_screen_matches_masked_screen(case):
+    """chi2_membership_grid, which computes the statistic on every grid row
+    and lets rows with a zero coordinate fail by inf or nan, gives the bits
+    of the screen that masked those rows out first."""
+    phat, delta, k, M = case
+    points = SimplexGrid(k, M).points
+    want = chi2_membership_grid_masked(phat, delta, points)
+    assert np.array_equal(chi2_membership_grid(phat, delta, points), want)
+
+
+@st.composite
+def bernoulli_cases(draw):
+    n = draw(st.integers(1, 10**6))
+    mean_hat = draw(
+        st.one_of(st.integers(0, n).map(lambda c: c / n), st.floats(0.0, 1.0))
+    )
+    return mean_hat, n, draw(log_uniform_deltas(0.999))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(bernoulli_cases())
+def test_kl_interval_inside_hoeffding_interval(case):
+    """Pinsker's inequality, KL(a, b) >= 2 (a - b)^2, puts the two-point KL
+    interval inside the Hoeffding interval at the same n and delta."""
+    mean_hat, n, delta = case
+    kl = kl_bernoulli_interval(mean_hat, n, delta)
+    hoeff = hoeffding_interval(mean_hat, n, delta)
+    assert kl.lower >= hoeff.lower - 1e-12
+    assert kl.upper <= hoeff.upper + 1e-12
 
 
 @st.composite

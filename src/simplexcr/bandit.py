@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import chdtri
 
 from .core import EmpiricalDistribution, SimplexGrid, SimplexPoint
 from .functionals import (
@@ -26,7 +27,7 @@ from .functionals import (
     functional_interval,
     kl_bernoulli_bounds_vec,
 )
-from .regions import RegionSpec, chi2_membership_grid
+from .regions import RegionSpec
 
 _BENCHMARK_PMFS = (
     (0.1, 0.6, 0.3),
@@ -113,13 +114,31 @@ class _LevelSetBounds:
 
     Screen: each round's endpoints are the extremes of the arm's payoff over
     the resolution-96 grid points inside the chi-square approximation of
-    the region, padded by the grid's Lipschitz term (the payoff range when
+    the region, {p : n * sum_j (c_j/n - p_j)^2 / p_j <= chdtri(k - 1,
+    delta_t)}, padded by the grid's Lipschitz term (the payoff range when
     no point is inside). Confirm: a stop the screen allows holds only if
     exact level-set intervals at resolution 120 (``functional_interval``)
     also put the leader's lower end above every rival's upper end minus the
     tolerance. Backoff: after the f-th failed confirmation none is tried for
     min(512, 16 * 2^(f-1)) rounds. The exact intervals scan a dense grid,
     so arms may have at most three categories.
+
+    The screen is incremental. Grid points with a zero coordinate are never
+    inside (their statistic is inf or nan), so each arm keeps only the
+    interior points, sorted by payoff (stable argsort of the full-grid
+    product's f-values). An arm's statistic, the running minimum of it from
+    the low-payoff end and the one from the high-payoff end are recomputed
+    only when the arm's counts changed since they were last computed: in
+    round 1 every arm, after that only the two pulled arms. delta_t moves
+    only the threshold, computed once per round. Both running minima are
+    monotone, so the least member is the first point whose low-end minimum
+    is at or below the threshold, and the greatest member the first such
+    point from the high end: one ``searchsorted`` each. The statistic is
+    the same arithmetic on the same points and the comparison is the same
+    ``stat <= threshold``, so the member set, and with it the least and
+    greatest member f-values and the padded endpoints, are bit-identical to
+    testing every grid point each round. The state belongs to the instance,
+    that is to one run.
     """
 
     SCREEN_RESOLUTION = 96
@@ -132,21 +151,44 @@ class _LevelSetBounds:
                 "intervals scan a dense simplex grid, built only for k <= 3"
             )
         self.arms = arms
-        self.grids = [SimplexGrid(a.pmf.k, self.SCREEN_RESOLUTION).points for a in arms]
-        self.fvals = [g @ np.asarray(a.values.values) for g, a in zip(self.grids, arms)]
+        self.dofs = np.array([arm.pmf.k - 1 for arm in arms])
+        # interior screen points in f order, one row per coordinate
+        self.points, self.fvals = [], []
+        for arm in arms:
+            grid = SimplexGrid(arm.pmf.k, self.SCREEN_RESOLUTION).points
+            fv = grid @ np.asarray(arm.values.values)
+            inner = np.flatnonzero((grid > 0.0).all(axis=1))
+            inner = inner[np.argsort(fv[inner], kind="stable")]
+            self.points.append(np.ascontiguousarray(grid[inner].T))
+            self.fvals.append(fv[inner])
+        # per arm: the counts last screened, and the negated running minima
+        # of the statistic from the low and the high f end (nondecreasing)
+        self.screened = [None] * len(arms)
+        self.low_min = [None] * len(arms)
+        self.high_min = [None] * len(arms)
         self.fails = 0
         self.next_exact_round = 0
 
     def __call__(self, counts, means, ns, delta_t):
         ends = np.array([arm.values.value_range for arm in self.arms])
+        thresholds = -chdtri(self.dofs, delta_t)
         for a, arm in enumerate(self.arms):
-            phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
-            member = chi2_membership_grid(phat, delta_t, self.grids[a])
-            if member.any():
+            c = counts[a].tolist()
+            if c != self.screened[a]:
+                n = sum(c)
+                # the k terms summed left to right, as numpy sums a row
+                terms = ((cj / n - pj) ** 2 / pj for cj, pj in zip(c, self.points[a]))
+                stat = n * sum(terms)
+                self.low_min[a] = -np.minimum.accumulate(stat)
+                self.high_min[a] = -np.minimum.accumulate(stat[::-1])
+                self.screened[a] = c
+            first = np.searchsorted(self.low_min[a], thresholds[a])
+            if first < len(self.low_min[a]):
+                last = np.searchsorted(self.high_min[a], thresholds[a])
+                fv = self.fvals[a]
                 lo, hi = ends[a]
-                fv = self.fvals[a][member]
                 pad = (hi - lo) * (arm.pmf.k - 1) / self.SCREEN_RESOLUTION
-                ends[a] = max(lo, fv.min() - pad), min(hi, fv.max() + pad)
+                ends[a] = max(lo, fv[first] - pad), min(hi, fv[-1 - last] + pad)
         return ends[:, 0], ends[:, 1]
 
     def confirm(self, counts, delta_t, leader, tolerance, t) -> bool:

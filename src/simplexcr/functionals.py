@@ -20,10 +20,13 @@ from .core import (
     EmpiricalDistribution,
     SimplexGrid,
     SimplexPoint,
+    composition_rank,
     kl_bernoulli,
+    log_coefficients,
+    log_weights,
     simplex_size,
 )
-from .regions import RegionSpec, membership_grid
+from .regions import RegionSpec, membership_grid, phat_mass_survivors
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,10 @@ def _first_member(
     order: np.ndarray,
 ) -> int | None:
     """Position in ``order`` of the first row of ``points`` in the region,
-    or None; the rows are tested in chunks of 64, 128, 256, ..."""
-    start, size = 0, 64
+    or None; the rows are tested in chunks of 8, 16, 32, ..., so a member
+    near the start costs a few small kernel calls and one far in costs
+    about log2 of its position."""
+    start, size = 0, 8
     while start < len(order):
         member = membership_grid(phat, spec, points[order[start : start + size]])
         if member.any():
@@ -117,10 +122,13 @@ def functional_interval(
     before the grid is built) and widens it by the grid Lipschitz padding
     (max_ij |v_i - v_j|) * (k - 1) / M. The padded interval is clamped to
     the functional's range. The hull comes from an extremal scan: the grid
-    points sorted by f are tested from each end in chunks of 64, 128, ...
+    points sorted by f are tested from each end in chunks of 8, 16, 32, ...
     points, and the first member from each end holds the least and the
-    greatest member value. Membership is decided per point, whatever the
-    chunk, so the interval is the one a scan of the whole grid gives. For
+    greatest member value. For the level-set kind only the points that
+    survive ``phat_mass_survivors`` over the whole grid are walked: a
+    pruned point is a proven non-member, so the first member from each end
+    is the same. Membership is decided per point, whatever the chunk, so
+    the interval is the one a scan of the whole grid gives. For
     k > 3 dense grids are infeasible and the scan tests all ``mc_draws``
     uniform Dirichlet proposals instead (``seed`` required); the member
     fraction is reported as ``scan_coverage``.
@@ -146,6 +154,11 @@ def functional_interval(
         points = SimplexGrid(phat.k, M).points
         fv = points @ vals
         order = np.argsort(fv, kind="stable")
+        if spec.kind == "levelset":  # pruned points are proven non-members
+            q = log_coefficients(phat.k, phat.n)[composition_rank(phat.counts)]
+            q = q + log_weights(points) @ np.asarray(phat.counts, dtype=float)
+            keep = phat_mass_survivors(q, simplex_size(phat.k, phat.n), spec.delta)
+            order = order[keep[order]]
         first = _first_member(phat, spec, points, order)
         if first is None:
             raise EmptyScanError(

@@ -7,7 +7,11 @@ average-volume confidence region; KL-based Sanov and per-marginal polytope
 regions are provided as baselines, together with the exact p-value, a
 chi-square prefilter, and the sound KL outer-bound rejection test.
 Level-set membership over many points is pruned by a bound on phat's own
-mass (see levelset_membership_grid), which cannot change an answer.
+mass, written once in phat_mass_survivors: the kernel,
+levelset_membership_grid, prunes its points with it, and
+functionals.functional_interval prunes its whole scan grid with it and
+walks only the survivors. A pruned point is a proven non-member, so the
+prune cannot change an answer.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc, chdtri
+from scipy.special import chdtrc
 
 from .core import (
     LOG_TIE_TOL,
@@ -291,6 +295,24 @@ def region_membership(
 # harness; scans are pure and safe to parallelize over.
 
 
+def phat_mass_survivors(q: np.ndarray, num: int, delta: float) -> np.ndarray:
+    """Which points survive the prune by phat's own mass, given q, phat's
+    log-mass log P_p(phat) under each point p, and the number num of
+    outcomes: those with log num + q + LOG_TIE_TOL > log(delta) - log 2. A
+    point that does not survive is a proven non-member of phat's level-set
+    region at level delta.
+
+    In the membership rule of levelset_membership_grid, every outcome not
+    ranked before phat has log-pmf at most q + LOG_TIE_TOL, so
+    1 - G <= num exp(q + LOG_TIE_TOL), and the kernel's floor lowers G by
+    at most delta * exp(-30). So if log num + q + LOG_TIE_TOL <= log(delta)
+    - log 2, the floored G is at least 1 - delta/2 - delta * exp(-30)
+    > 1 - delta and p is not a member. The margin of delta/2 dwarfs any
+    rounding in q, so the answer does not depend on how q was summed.
+    """
+    return math.log(num) + q + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
+
+
 def levelset_membership_grid(
     phat: EmpiricalDistribution, delta: float, points: np.ndarray
 ) -> np.ndarray:
@@ -307,13 +329,8 @@ def levelset_membership_grid(
     lowers G, so the floor errs only toward inclusion. A point under which
     phat alone has mass above delta is accepted, as G excludes phat.
 
-    Points are pruned first by phat's own mass. Let q = log P_p(phat). Every
-    outcome not ranked before phat has log-pmf at most q + LOG_TIE_TOL, so
-    1 - G <= N exp(q + LOG_TIE_TOL), and the floor lowers G by at most
-    delta * exp(-30). So if log N + q + LOG_TIE_TOL <= log(delta) - log 2,
-    the floored G is at least 1 - delta/2 - delta * exp(-30) > 1 - delta:
-    p is not a member by the rule above, and the prune changes no answer.
-    It costs one matrix-vector product over the points.
+    Points are pruned first by phat's own mass (phat_mass_survivors), which
+    changes no answer.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -326,11 +343,10 @@ def levelset_membership_grid(
     idx = composition_rank(phat.counts)
     logcoef = log_coefficients(k, n)
 
-    # phat's own log-pmf under every point, the q of the docstring's prune
+    # phat's own log-pmf under every point, the q of phat_mass_survivors
     w = log_weights(points)
     q_all = logcoef[idx] + w @ np.asarray(phat.counts, dtype=float)
-    keep = math.log(num) + q_all + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
-    cand = np.flatnonzero(keep)
+    cand = np.flatnonzero(phat_mass_survivors(q_all, num, delta))
     member = np.zeros(len(points), dtype=bool)
     if len(cand) == 0:
         return member
@@ -407,20 +423,6 @@ def membership_grid(
     if spec.kind == "polytope":
         return polytope_membership_grid(phat, spec.delta, points)
     return levelset_membership_grid(phat, spec.delta, points)
-
-
-def chi2_membership_grid(
-    phat: EmpiricalDistribution, delta: float, points: np.ndarray
-) -> np.ndarray:
-    """Approximate level-set membership from the chi-square tail. Advisory
-    screening only. No row is masked out: a row with a zero coordinate gets
-    a statistic of inf (where phat's coordinate is positive) or nan (0/0),
-    and both fail ``stat <= threshold``, so such rows are non-members."""
-    points = np.asarray(points, dtype=float)
-    fr = phat.as_point().as_array()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = phat.n * ((fr - points) ** 2 / points).sum(axis=1)
-    return stat <= chdtri(phat.k - 1, delta)
 
 
 def covering_sizes_grid(

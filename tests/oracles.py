@@ -3,11 +3,12 @@ enumeration, exact big-rational pmf sums, exhaustive subset search for
 minimal covering cardinality, a one-dimensional boundary-bisection
 measure for k = 2 regions, a 64-step bisection for two-point KL interval
 endpoints, a lexsort with a per-run re-sort for the probability ordering,
-the level-set grid kernel with its KL outer-bound prune, and the
-chi-square screen with its zero-coordinate mask. These stay deliberately
-separate from the library's arithmetic outcome table, its log-space code
-paths, its Newton KL-bound solver, its run-key ordering, its phat-mass
-prune and its mask-free screen."""
+the level-set grid kernel with its KL outer-bound prune, the chi-square
+grid screen with and without its zero-coordinate mask, and the level-set
+bandit screen that recomputes every arm every round. These stay
+deliberately separate from the library's arithmetic outcome table, its
+log-space code paths, its Newton KL-bound solver, its run-key ordering,
+its phat-mass prune and its incremental screen."""
 from __future__ import annotations
 
 import math
@@ -21,6 +22,7 @@ from scipy.special import chdtri
 from simplexcr import EmpiricalDistribution, SimplexPoint, member_of_covering
 from simplexcr.core import (
     LOG_TIE_TOL,
+    SimplexGrid,
     composition_rank,
     compositions_array,
     kl_bernoulli_many,
@@ -279,6 +281,40 @@ def levelset_membership_grid_kl_prune(
         )
         member[cols[rest]] = mass < target
     return member
+
+
+def chi2_membership_grid(
+    phat: EmpiricalDistribution, delta: float, points: np.ndarray
+) -> np.ndarray:
+    """Approximate level-set membership from the chi-square tail. Advisory
+    screening only. No row is masked out: a row with a zero coordinate gets
+    a statistic of inf (where phat's coordinate is positive) or nan (0/0),
+    and both fail ``stat <= threshold``, so such rows are non-members."""
+    points = np.asarray(points, dtype=float)
+    fr = phat.as_point().as_array()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = phat.n * ((fr - points) ** 2 / points).sum(axis=1)
+    return stat <= chdtri(phat.k - 1, delta)
+
+
+def levelset_screen_full(arms, counts, delta_t, membership=chi2_membership_grid):
+    """The level-set screen's endpoints as ``bandit._LevelSetBounds``
+    computed them before its screen went incremental: ``membership`` (the
+    chi-square grid screen) of every point of the resolution-96 grid,
+    recomputed for every arm in every round, and the extremes of the
+    members' f-values from the full-grid product, padded."""
+    resolution = 96
+    ends = np.array([arm.values.value_range for arm in arms])
+    for a, arm in enumerate(arms):
+        grid = SimplexGrid(arm.pmf.k, resolution).points
+        phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
+        member = membership(phat, delta_t, grid)
+        if member.any():
+            lo, hi = ends[a]
+            fv = (grid @ np.asarray(arm.values.values))[member]
+            pad = (hi - lo) * (arm.pmf.k - 1) / resolution
+            ends[a] = max(lo, fv.min() - pad), min(hi, fv.max() + pad)
+    return ends[:, 0], ends[:, 1]
 
 
 def chi2_membership_grid_masked(

@@ -13,7 +13,11 @@ from simplexcr import (
 from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
 
-from oracles import chi2_membership_grid_masked, kl_bernoulli_bounds_bisection
+from oracles import (
+    chi2_membership_grid_masked,
+    kl_bernoulli_bounds_bisection,
+    levelset_screen_full,
+)
 
 
 def deterministic_arms() -> list[Arm]:
@@ -128,13 +132,57 @@ class TestStrategyIsolation:
 
 class TestLevelSetBounds:
     def test_runs_equal_under_masked_screen_oracle(self, monkeypatch):
-        """The mask-free chi-square screen and the masked screen it replaced
-        give the same level-set LUCB runs."""
+        """The incremental chi-square screen and the masked full-grid screen
+        recomputed every round give the same level-set LUCB runs."""
         arms = benchmark_arms()
         runs = [lucb_run(arms, 0.2, 0.1, "levelset", seed=s) for s in range(5)]
-        monkeypatch.setattr(bandit, "chi2_membership_grid", chi2_membership_grid_masked)
+        monkeypatch.setattr(
+            _LevelSetBounds,
+            "__call__",
+            lambda self, counts, means, ns, delta_t: levelset_screen_full(
+                self.arms, counts, delta_t, chi2_membership_grid_masked
+            ),
+        )
         for seed, run in enumerate(runs):
             assert lucb_run(arms, 0.2, 0.1, "levelset", seed=seed) == run
+
+    def test_state_belongs_to_one_run(self):
+        """A run's screen state does not leak into the next run: seed A,
+        then seed B, then seed A again gives A's run twice."""
+        arms = benchmark_arms()
+        first = lucb_run(arms, 0.2, 0.1, "levelset", seed=21)
+        other = lucb_run(arms, 0.2, 0.1, "levelset", seed=22)
+        again = lucb_run(arms, 0.2, 0.1, "levelset", seed=21)
+        assert first == again
+        assert other != first
+
+    def test_interleaved_instances_match_solo_runs(self):
+        """Two bounds objects driven alternately with different count
+        streams each give the endpoints of the same stream driven alone."""
+        arms = benchmark_arms()
+        rng = np.random.default_rng(8)
+        streams = []
+        for _ in range(2):
+            counts = [np.ones(3, dtype=np.int64) for _ in arms]
+            stream = []
+            for t in range(1, 60):
+                for a in rng.choice(len(arms), size=2, replace=False):
+                    counts[a][rng.integers(3)] += 1
+                stream.append(([c.copy() for c in counts], 0.05 / (5 * t * (t + 1))))
+            streams.append(stream)
+
+        def solo(stream):
+            bounds = _LevelSetBounds(arms)
+            return [bounds(c, None, None, d) for c, d in stream]
+
+        want = [solo(stream) for stream in streams]
+        pair = [_LevelSetBounds(arms), _LevelSetBounds(arms)]
+        for t in range(len(streams[0])):
+            for i in (0, 1):
+                counts, delta_t = streams[i][t]
+                lcb, ucb = pair[i](counts, None, None, delta_t)
+                assert lcb.tobytes() == want[i][t][0].tobytes()
+                assert ucb.tobytes() == want[i][t][1].tobytes()
 
     def test_refuses_more_than_three_categories_up_front(self, monkeypatch):
         """Exact level-set intervals scan a dense grid, which exists only

@@ -22,9 +22,17 @@ from simplexcr import (
     mixture_point_from_uniform,
     oracle_chernoff_interval,
 )
-from simplexcr.core import MAX_GRID_POINTS, _grid_points, simplex_size
+from simplexcr import regions
+from simplexcr.core import (
+    MAX_GRID_POINTS,
+    _grid_points,
+    composition_rank,
+    log_coefficients,
+    log_weights,
+    simplex_size,
+)
 from simplexcr.functionals import IntervalResult, kl_bernoulli_bounds_vec
-from simplexcr.regions import membership_grid
+from simplexcr.regions import membership_grid, phat_mass_survivors
 
 MEAN3 = LinearFunctional((0.0, 0.5, 1.0))
 
@@ -229,6 +237,74 @@ class TestExtremalScan:
         with pytest.raises(ValueError, match="lower M"):
             functional_interval(phat, MEAN3, 0.3, spec, M=100_000)
         assert _grid_points.cache_info().misses == misses
+
+
+def survivors(phat, delta, points):
+    """phat_mass_survivors over ``points``, with q = log P_p(phat) taken from
+    the outcome table's coefficient and one matrix-vector product."""
+    k, n = phat.k, phat.n
+    q = log_coefficients(k, n)[composition_rank(phat.counts)]
+    q = q + log_weights(points) @ np.asarray(phat.counts, dtype=float)
+    return phat_mass_survivors(q, simplex_size(k, n), delta)
+
+
+class TestSurvivorScan:
+    """A level-set scan walks only the points that survive the phat-mass
+    prune, in chunks of 8, 16, 32, ... from each end of the f order."""
+
+    def test_members_only_in_last_survivor_chunk(self):
+        # 24 survivors: chunks of 8 and 16 from the low end; the two members
+        # lie past the first 8 survivors from each end
+        phat = EmpiricalDistribution((0, 7, 3))
+        spec = RegionSpec(0.9, "levelset", 10, 3)
+        M = 12
+        points = SimplexGrid(3, M).points
+        order = np.argsort(points @ np.asarray(MEAN3.values), kind="stable")
+        walked = order[survivors(phat, 0.9, points)[order]]
+        member = membership_grid(phat, spec, points[walked])
+        assert len(walked) == 24
+        assert member.any() and not member[:8].any() and not member[-8:].any()
+        want = full_scan_interval(phat, MEAN3, 0.9, spec, M)
+        assert functional_interval(phat, MEAN3, 0.9, spec, M=M) == want
+
+    def test_no_survivor_raises_empty_scan(self, monkeypatch):
+        # every point of the resolution-2 grid has a zero coordinate, where
+        # an interior phat has no mass: nothing survives, no kernel call
+        phat = EmpiricalDistribution((33, 33, 34))
+        spec = RegionSpec(0.05, "levelset", 100, 3)
+        points = SimplexGrid(3, 2).points
+        assert not survivors(phat, 0.05, points).any()
+        calls = []
+        monkeypatch.setattr(
+            regions, "levelset_membership_grid", lambda *args: calls.append(args)
+        )
+        message = (
+            "no member among 6 grid points at resolution 2 (kind=levelset, "
+            "n=100, delta=0.05); the region is nonempty, so rerun with a "
+            "finer grid"
+        )
+        with pytest.raises(EmptyScanError) as err:
+            functional_interval(phat, MEAN3, 0.05, spec, M=2)
+        assert str(err.value) == message
+        assert calls == []
+
+    def test_kernel_sees_few_points(self, monkeypatch):
+        # a level-set bandit refinement at n = 390: a scan in grid-point
+        # chunks from 64 tested 6,016 of the 7,381 grid points
+        phat = EmpiricalDistribution((43, 222, 125))
+        delta = 0.05 / (5 * 390 * 391)
+        spec = RegionSpec(delta, "levelset", 390, 3)
+        want = full_scan_interval(phat, MEAN3, delta, spec, 120)
+        kernel = regions.levelset_membership_grid
+        seen = []
+
+        def counted(phat, delta, points):
+            seen.append(len(points))
+            return kernel(phat, delta, points)
+
+        monkeypatch.setattr(regions, "levelset_membership_grid", counted)
+        assert functional_interval(phat, MEAN3, delta, spec, M=120) == want
+        assert sum(seen) <= 200
 
 
 class TestHoeffding:

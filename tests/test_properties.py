@@ -1,6 +1,7 @@
 """Property tests of the paper's identities, of the probability ordering, of
-the level-set kernel's prune, of the chi-square screen and of the KL-bound
-solver over generated inputs."""
+the level-set kernel's prune, of the chi-square screen, of the level-set
+bandit's incremental screen and of the KL-bound solver over generated
+inputs."""
 import math
 
 import numpy as np
@@ -27,16 +28,16 @@ from simplexcr.functionals import (
     kl_bernoulli_bounds_vec,
     kl_bernoulli_interval,
 )
-from simplexcr.regions import (
-    _probability_ordering,
-    chi2_membership_grid,
-    levelset_membership_grid,
-)
+from simplexcr.bandit import Arm, _LevelSetBounds
+from simplexcr.functionals import LinearFunctional
+from simplexcr.regions import _probability_ordering, levelset_membership_grid
 
 from oracles import (
+    chi2_membership_grid,
     chi2_membership_grid_masked,
     kl_bernoulli_bounds_bisection,
     levelset_membership_grid_kl_prune,
+    levelset_screen_full,
     probability_ordering_lexsort,
 )
 
@@ -139,11 +140,60 @@ def screen_cases(draw):
 def test_mask_free_screen_matches_masked_screen(case):
     """chi2_membership_grid, which computes the statistic on every grid row
     and lets rows with a zero coordinate fail by inf or nan, gives the bits
-    of the screen that masked those rows out first."""
+    of the screen that masked those rows out first: a row with a zero
+    coordinate is never a screen member, which the level-set bandit's
+    incremental screen relies on when it drops such rows."""
     phat, delta, k, M = case
     points = SimplexGrid(k, M).points
     want = chi2_membership_grid_masked(phat, delta, points)
     assert np.array_equal(chi2_membership_grid(phat, delta, points), want)
+
+
+@st.composite
+def screen_streams(draw):
+    """2-5 arms with 2 or 3 categories, each pulled once, then up to 40
+    rounds that pull 0, 1 or 2 arms each, 1 to 5,000 draws at a time, so
+    that some regions fall between grid points. Every arm draws only
+    categories of a drawn support, so counts often hold zeros. delta_t
+    falls as LUCB's delta / (K t (t + 1))."""
+    num_arms = draw(st.integers(2, 5))
+    arms, supports = [], []
+    for _ in range(num_arms):
+        k = draw(st.sampled_from((2, 3)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = LinearFunctional(tuple(float(v) for v in rng.normal(size=k)))
+        pmf = SimplexPoint(tuple(rng.dirichlet(np.ones(k))), normalize=True)
+        arms.append(Arm(pmf, values))
+        supports.append(
+            draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+        )
+    batch = st.sampled_from((1, 2, 3, 50, 5000))
+    pull = st.tuples(st.integers(0, num_arms - 1), st.integers(0, 2), batch)
+    rounds = draw(st.lists(st.lists(pull, max_size=2), min_size=1, max_size=40))
+    first = [draw(st.integers(0, 2)) for _ in range(num_arms)]
+    delta = draw(log_uniform_deltas(0.5))
+    return arms, supports, first, rounds, delta
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(screen_streams())
+def test_incremental_screen_matches_full_screen(case):
+    """After every round the level-set bandit's incremental screen gives
+    the bitwise endpoints of the screen that recomputes chi2_membership_grid
+    over the whole grid for every arm."""
+    arms, supports, first, rounds, delta = case
+    bounds = _LevelSetBounds(arms)
+    counts = [np.zeros(arm.pmf.k, dtype=np.int64) for arm in arms]
+    for a, c in enumerate(first):
+        counts[a][supports[a][c % len(supports[a])]] += 1
+    for t, pulls in enumerate(rounds, start=1):
+        delta_t = delta / (len(arms) * t * (t + 1))
+        got = bounds(counts, None, None, delta_t)
+        want = levelset_screen_full(arms, counts, delta_t)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        for a, c, draws in pulls:
+            counts[a][supports[a][c % len(supports[a])]] += draws
 
 
 @st.composite

@@ -331,6 +331,11 @@ def levelset_membership_grid(
 
     Points are pruned first by phat's own mass (phat_mass_survivors), which
     changes no answer.
+
+    The survivors go through in batches of _BATCH_ENTRIES / (8 N) points.
+    One batch's log-pmf matrix is alive at a time, and G is summed over
+    blocks of its columns, so the peak memory is about one matrix,
+    whatever share of it is selected.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -372,24 +377,31 @@ def levelset_membership_grid(
         if len(wb) == 1:  # a one-point batch's row bound is its log-pmf
             lp = row_bound[kept][:, None]
         else:
-            lp = logcoef[kept][:, None] + counts_f[kept] @ wb.T
+            lp = counts_f[kept] @ wb.T
+            lp += logcoef[kept][:, None]
         lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
         q = lp[new_idx]
         quick = q > log_delta
         member[cols[quick]] = True
         rest = np.flatnonzero(~quick)
-        if len(rest) == 0:
-            continue
-        lpr = lp[:, rest]
-        hi = q[rest] + LOG_TIE_TOL
-        lo = q[rest] - LOG_TIE_TOL
-        sel = (lpr > hi) | ((lpr <= hi) & (lpr >= lo) & lex_earlier[:, None])
-        sel &= lpr > floor
-        srows, scols = np.nonzero(sel)
-        mass = np.bincount(
-            scols, weights=np.exp(lpr[srows, scols]), minlength=len(rest)
-        )
-        member[cols[rest]] = mass < target
+        # G is summed over blocks of the remaining columns, each an eighth
+        # of the batch's entry budget, so the copies, masks and gathers of
+        # a block stay small beside lp whatever share of it is selected.
+        # Each column's sum is the same whatever block holds it.
+        step = max(1, _BATCH_ENTRIES // (64 * len(lp)))
+        for b in range(0, len(rest), step):
+            part = rest[b : b + step]
+            lpr = lp[:, part]
+            hi = q[part] + LOG_TIE_TOL
+            lo = q[part] - LOG_TIE_TOL
+            sel = (lpr > hi) | ((lpr <= hi) & (lpr >= lo) & lex_earlier[:, None])
+            sel &= lpr > floor
+            srows, scols = np.nonzero(sel)
+            mass = np.bincount(
+                scols, weights=np.exp(lpr[srows, scols]), minlength=len(part)
+            )
+            member[cols[part]] = mass < target
+        del lp, q  # q views lp; the next batch's lp is not built beside this one
     return member
 
 

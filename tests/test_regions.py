@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from simplexcr import (
     sanov_threshold,
 )
 from simplexcr.core import LOG_TIE_TOL, compositions_array, log_pmf_array
+from simplexcr import regions
 from simplexcr.regions import (
     covering_sizes_grid,
     levelset_membership_grid,
@@ -38,6 +40,7 @@ from simplexcr.regions import (
 
 from oracles import (
     exact_p_value,
+    levelset_membership_grid_kl_prune,
     min_covering_size_bruteforce,
     point_from_fractions,
     probability_ordering_lexsort,
@@ -412,6 +415,39 @@ class TestVectorizedPaths:
         got = levelset_membership_grid(phat, 0.3, pts)
         want = [member_of_covering(phat, SimplexPoint(tuple(r)), 0.3) for r in pts]
         assert got.tolist() == want
+
+    def test_levelset_grid_mass_blocks_match_oracle(self, monkeypatch):
+        """At n = 200, on points near phat, each batch of 123 points has its
+        mass summed over several column blocks; the bits are those of the
+        oracle kernel, which sums a batch at once."""
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+        phat = EmpiricalDistribution((60, 80, 60))
+        pts = np.random.default_rng(73).dirichlet(np.array(phat.counts, dtype=float), size=246)
+        got = levelset_membership_grid(phat, 0.3, pts)
+        assert len(calls) >= 3 * 2  # at least three blocks per batch
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert 0 < got.sum() < len(pts)
+        assert np.array_equal(got, levelset_membership_grid_kl_prune(phat, 0.3, pts))
+
+    def test_levelset_grid_holds_one_batch_matrix(self):
+        """Over many batches the kernel's traced peak stays near one batch's
+        log-pmf matrix: the previous batch's matrix is freed before the
+        next is built, and the mass blocks are small beside it."""
+        phat = EmpiricalDistribution((3, 5, 7, 5))
+        pts = np.random.default_rng(71).dirichlet(np.ones(4), size=10_000)
+        num = len(compositions_array(4, 20))
+        lp_bytes = 8 * num * (regions._BATCH_ENTRIES // (8 * num))
+        levelset_membership_grid(phat, 0.3, pts[:16])  # tables cached
+        tracemalloc.start()
+        try:
+            got = levelset_membership_grid(phat, 0.3, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < got.sum() < len(pts)
+        assert peak < 1.4 * lp_bytes
 
     def test_sanov_polytope_grids_match_scalar(self):
         rng = np.random.default_rng(61)

@@ -6,7 +6,8 @@ of the functional between adjacent grid points, giving a
 resolution-controlled outer approximation.
 Baselines for width comparisons: the closed-form Hoeffding, oracle
 sub-Gaussian and empirical Bernstein intervals, and the two-point KL
-interval, whose endpoints come from one safeguarded Newton solver.
+interval, whose endpoints come from one safeguarded Newton solver. A
+second one bounds f over a KL ball, for the level-set bandit's bracket.
 """
 from __future__ import annotations
 
@@ -362,6 +363,81 @@ def kl_bernoulli_bounds_vec(
         dtype=float,
     ).reshape(mh.shape + (2,))
     return ends[..., 0], ends[..., 1]
+
+
+# A dual Newton step shorter than this share of lambda - max f has converged.
+_DUAL_STEP_RTOL = 1e-12
+
+
+def _kl_ball_sup(
+    f: list[float], w: list[float], eps: float, start: float | None = None
+) -> tuple[float, float]:
+    """sup f.p over {p : KL(w || p) <= eps}, as an upper bound tight to
+    rounding, and the dual point as its offset x = lambda - max f, which
+    keeps its precision when lambda is within rounding of max f.
+
+    The sup is the least g(lambda) = lambda - E over lambda >= max f, E =
+    exp(sum_{w_j > 0} w_j log(lambda - f_j) - eps) (the finite-support
+    KL-UCB bound of Honda and Takemura, and Cappe et al.); g is convex, g' =
+    1 - E S1, g'' = E (S2 - S1^2), S_m = sum_{w_j > 0} w_j / (lambda -
+    f_j)^m. By weak duality every g(lambda) bounds the sup, so stopping
+    early only loosens the bound. Newton steps on g' run in x from
+    ``start`` (a previous offset) or from the mean plus sqrt(variance / (2
+    eps)), inside [0, (wbar - a_min e^eps) / (e^eps - 1)], where g' >= 0 by
+    AM-GM (a_j = max f - f_j, wbar = sum w_j a_j, a_min = the least observed
+    a_j). As in _kl_root, a step that leaves the bracket or is longer than
+    half the last one is replaced by bisection. Explicit cases: max f when
+    every observed category pays it (constant f included); g(max f) when
+    none does and g'(max f) >= 0, the boundary optimum.
+    """
+    top = max(f)
+    obs = [(wj, top - fj) for wj, fj in zip(w, f) if wj > 0.0]
+    a_min = min(a for _, a in obs)
+    wbar = math.fsum(wj * a for wj, a in obs)
+    if wbar == 0.0:  # every observed category pays max f
+        return top, 0.0
+
+    def dual(x: float) -> tuple[float, float, float]:
+        """E, S1 and S2 at lambda = max f + x."""
+        log_e = s1 = s2 = 0.0
+        for wj, a in obs:
+            d = x + a
+            log_e += wj * math.log(d)
+            s1 += wj / d
+            s2 += wj / (d * d)
+        return math.exp(log_e - eps), s1, s2
+
+    if a_min > 0.0:
+        e, s1, _ = dual(0.0)
+        if e * s1 <= 1.0:  # g'(max f) >= 0: the boundary optimum
+            return top - e, 0.0
+    lo, hi = 0.0, (wbar - a_min * math.exp(eps)) / math.expm1(eps)
+    if not hi > 0.0:  # no room left by rounding: max f is always sound
+        return top, 0.0
+    if start is not None and lo < start < hi:
+        x = start
+    else:
+        var = math.fsum(wj * (a - wbar) ** 2 for wj, a in obs)
+        x = math.sqrt(var / (2.0 * eps)) - wbar
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    last = math.inf  # length of the previous Newton step
+    while True:
+        e, s1, s2 = dual(x)
+        slope, curv = 1.0 - e * s1, e * (s2 - s1 * s1)
+        lo, hi = (x, hi) if slope < 0.0 else (lo, x)
+        # a curvature lost to rounding sends the step to bisection
+        step = slope / curv if curv > 0.0 else math.inf
+        if abs(step) <= _DUAL_STEP_RTOL * x:
+            return top + x - e, x
+        nxt = x - step
+        if lo < nxt < hi and abs(step) <= 0.5 * last:
+            last = abs(step)
+        else:
+            nxt, last = 0.5 * (lo + hi), math.inf
+            if nxt == lo or nxt == hi:
+                return top + x - e, x
+        x = nxt
 
 
 def mixture_point_from_uniform(u: float) -> SimplexPoint:

@@ -4,14 +4,14 @@ The central object is the probability-ordered covering collection: the
 shortest prefix of outcomes, sorted by probability under p, whose mass
 reaches 1 - delta. Inverting that collection gives the minimal
 average-volume confidence region; KL-based Sanov and per-marginal polytope
-regions are provided as baselines, together with the exact p-value, a
-chi-square prefilter, and the sound KL outer-bound rejection test.
-Level-set membership over many points is pruned by a bound on phat's own
-mass, written once in phat_mass_survivors: the kernel,
-levelset_membership_grid, prunes its points with it, and
-functionals.functional_interval prunes its whole scan grid with it and
-walks only the survivors. A pruned point is a proven non-member, so the
-prune cannot change an answer.
+regions are provided as baselines, together with the exact p-value and
+the sound KL outer-bound rejection test. Level-set membership over many
+points is pruned by a bound on phat's own mass, written once in
+phat_mass_survivors: the kernel, levelset_membership_grid, prunes its
+points with it, and functionals.functional_interval prunes its whole scan
+grid with it and walks only the survivors. A pruned point is a proven
+non-member, so the prune cannot change an answer. kl_ball_radius restates
+the same rule as a KL ball around phat that holds every member.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .core import (
     LOG_TIE_TOL,
@@ -36,6 +35,7 @@ from .core import (
     log_coefficients,
     log_weights,
     outcome_log_pmf,
+    simplex_size,
 )
 
 KINDS = ("levelset", "sanov", "polytope")
@@ -204,23 +204,6 @@ def outer_bound_reject(
     return 2.0 * k * math.log(n + 1) - n * div <= math.log(delta)
 
 
-def chi2_prefilter(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
-    """Approximate p-value from Pearson's chi-square statistic with k - 1
-    degrees of freedom. Advisory only: used to order or skip exact
-    computations, never to decide membership at the boundary."""
-    if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    if any(x <= 0.0 for x in p.probs):
-        raise ValueError("chi-square prefilter needs strictly positive p")
-    if phat.k == 1:
-        return 1.0
-    n = phat.n
-    stat = math.fsum(
-        (c - n * x) ** 2 / (n * x) for c, x in zip(phat.counts, p.probs)
-    )
-    return float(chdtrc(phat.k - 1, stat))
-
-
 def sanov_refined_valid(k: int, n: int) -> bool:
     """Whether the sharpened KL concentration constant applies at (k, n)."""
     return k <= math.e * (n / (8.0 * math.pi)) ** (1.0 / 3.0)
@@ -311,6 +294,25 @@ def phat_mass_survivors(q: np.ndarray, num: int, delta: float) -> np.ndarray:
     rounding in q, so the answer does not depend on how q was summed.
     """
     return math.log(num) + q + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
+
+
+def kl_ball_radius(counts, delta: float) -> float:
+    """The radius r of the KL ball n KL(phat || p) < r that holds phat's
+    level-set region at level delta; ``counts`` are phat's. With C = n! /
+    prod_j c_j!, H phat's entropy and N the number of outcomes, r = log C -
+    n H + log N + LOG_TIE_TOL + log 2 - log delta. It restates
+    phat_mass_survivors: q = log C + sum_j c_j log p_j = log C - n H - n
+    KL(phat || p), so p survives the prune iff n KL(phat || p) < r, and
+    every member survives. As log C <= n H, r <= 2k log(n + 1) - log delta,
+    the method-of-types radius."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    c = [int(x) for x in counts]
+    n = sum(c)
+    log_c = math.lgamma(n + 1) - math.fsum(math.lgamma(x + 1) for x in c)
+    n_entropy = math.fsum(x * math.log(n / x) for x in c if x > 0)
+    log_num = math.log(simplex_size(len(c), n))
+    return log_c - n_entropy + log_num + LOG_TIE_TOL + math.log(2.0 / delta)
 
 
 def levelset_membership_grid(

@@ -3,12 +3,10 @@ enumeration, exact big-rational pmf sums, exhaustive subset search for
 minimal covering cardinality, a one-dimensional boundary-bisection
 measure for k = 2 regions, a 64-step bisection for two-point KL interval
 endpoints, a lexsort with a per-run re-sort for the probability ordering,
-the level-set grid kernel with its KL outer-bound prune, the chi-square
-grid screen with and without its zero-coordinate mask, and the level-set
-bandit screen that recomputes every arm every round. These stay
+and the level-set grid kernel with its KL outer-bound prune. These stay
 deliberately separate from the library's arithmetic outcome table, its
-log-space code paths, its Newton KL-bound solver, its run-key ordering,
-its phat-mass prune and its incremental screen."""
+log-space code paths, its Newton KL-bound solver, its run-key ordering
+and its phat-mass prune."""
 from __future__ import annotations
 
 import math
@@ -17,12 +15,10 @@ from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
-from scipy.special import chdtri
 
 from simplexcr import EmpiricalDistribution, SimplexPoint, member_of_covering
 from simplexcr.core import (
     LOG_TIE_TOL,
-    SimplexGrid,
     composition_rank,
     compositions_array,
     kl_bernoulli_many,
@@ -280,57 +276,4 @@ def levelset_membership_grid_kl_prune(
             scols, weights=np.exp(lpr[srows, scols]), minlength=len(rest)
         )
         member[cols[rest]] = mass < target
-    return member
-
-
-def chi2_membership_grid(
-    phat: EmpiricalDistribution, delta: float, points: np.ndarray
-) -> np.ndarray:
-    """Approximate level-set membership from the chi-square tail. Advisory
-    screening only. No row is masked out: a row with a zero coordinate gets
-    a statistic of inf (where phat's coordinate is positive) or nan (0/0),
-    and both fail ``stat <= threshold``, so such rows are non-members."""
-    points = np.asarray(points, dtype=float)
-    fr = phat.as_point().as_array()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = phat.n * ((fr - points) ** 2 / points).sum(axis=1)
-    return stat <= chdtri(phat.k - 1, delta)
-
-
-def levelset_screen_full(arms, counts, delta_t, membership=chi2_membership_grid):
-    """The level-set screen's endpoints as ``bandit._LevelSetBounds``
-    computed them before its screen went incremental: ``membership`` (the
-    chi-square grid screen) of every point of the resolution-96 grid,
-    recomputed for every arm in every round, and the extremes of the
-    members' f-values from the full-grid product, padded."""
-    resolution = 96
-    ends = np.array([arm.values.value_range for arm in arms])
-    for a, arm in enumerate(arms):
-        grid = SimplexGrid(arm.pmf.k, resolution).points
-        phat = EmpiricalDistribution(tuple(int(c) for c in counts[a]))
-        member = membership(phat, delta_t, grid)
-        if member.any():
-            lo, hi = ends[a]
-            fv = (grid @ np.asarray(arm.values.values))[member]
-            pad = (hi - lo) * (arm.pmf.k - 1) / resolution
-            ends[a] = max(lo, fv.min() - pad), min(hi, fv.max() + pad)
-    return ends[:, 0], ends[:, 1]
-
-
-def chi2_membership_grid_masked(
-    phat: EmpiricalDistribution, delta: float, points: np.ndarray
-) -> np.ndarray:
-    """Chi-square screen membership as the library computed it before it
-    dropped its mask: rows with a zero coordinate are set aside up front
-    and reported as non-members; the statistic is computed on the rest."""
-    points = np.asarray(points, dtype=float)
-    n, k = phat.n, phat.k
-    member = np.zeros(len(points), dtype=bool)
-    interior = (points > 0.0).all(axis=1)
-    if not interior.any():
-        return member
-    fr = phat.as_point().as_array()
-    g = points[interior]
-    stat = n * ((fr - g) ** 2 / g).sum(axis=1)
-    member[interior] = stat <= chdtri(k - 1, delta)
     return member

@@ -1,10 +1,11 @@
-import time
+import math
 
 import numpy as np
 import pytest
 
 from simplexcr import (
     Arm,
+    BanditRun,
     LinearFunctional,
     SimplexPoint,
     benchmark_arms,
@@ -12,12 +13,10 @@ from simplexcr import (
 )
 from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
+from simplexcr.functionals import _kl_ball_sup
+from simplexcr.regions import kl_ball_radius
 
-from oracles import (
-    chi2_membership_grid_masked,
-    kl_bernoulli_bounds_bisection,
-    levelset_screen_full,
-)
+from oracles import kl_bernoulli_bounds_bisection
 
 
 def deterministic_arms() -> list[Arm]:
@@ -83,6 +82,37 @@ class TestLucbBasics:
             assert run.completed
             assert run.identified_arm == 0
 
+    def test_kl_bernoulli_runs_equal_recorded_runs(self):
+        """Three kl-bernoulli runs as recorded when every pull still called
+        rng.choice: the CDF draw gives the same categories, on three-category
+        arms, on four-category arms with zero entries, and up to the cap."""
+        arms = benchmark_arms()
+        values = LinearFunctional((0.0, 0.25, 0.75, 1.0))
+        arms4 = [
+            Arm(SimplexPoint((0.0, 0.3, 0.3, 0.4)), values),
+            Arm(SimplexPoint((0.4, 0.0, 0.3, 0.3)), values),
+            Arm(SimplexPoint((0.25, 0.25, 0.5, 0.0)), values),
+        ]
+        recorded = [
+            (
+                lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=31),
+                BanditRun(31, 1185, 0, ((64, 349, 178), (83, 173, 30), (70, 92, 20),
+                          (35, 21, 1), (44, 18, 7)), "kl-bernoulli", 591, True),
+            ),
+            (
+                lucb_run(arms4, 0.1, 0.0, "kl-bernoulli", seed=32),
+                BanditRun(32, 3003, 0, ((0, 468, 433, 600), (490, 0, 374, 385),
+                          (71, 57, 125, 0)), "kl-bernoulli", 1501, True),
+            ),
+            (
+                lucb_run(arms, 0.05, 0.0, "kl-bernoulli", seed=33, sample_cap=401),
+                BanditRun(33, 401, 0, ((19, 123, 54), (28, 55, 7), (24, 22, 2),
+                          (25, 9, 4), (21, 7, 1)), "kl-bernoulli", 199, False),
+            ),
+        ]
+        for got, want in recorded:
+            assert got == want
+
 
 class TestStrategyIsolation:
     def test_sampling_rule_sees_only_endpoints(self, monkeypatch):
@@ -105,9 +135,11 @@ class TestStrategyIsolation:
         assert disguised.per_arm_counts == reference.per_arm_counts
 
     def test_levelset_confirmation_lives_in_its_bounds(self, monkeypatch):
-        """A level-set bounds object that emits hoeffding endpoints and
-        confirms every stop reproduces the hoeffding run: the loop holds no
-        level-set refinement of its own."""
+        """A level-set bounds object that emits hoeffding endpoints
+        reproduces the hoeffding run: the certified bracket is the whole
+        level-set refinement, and the loop holds no confirmation step of
+        its own to call."""
+        assert not hasattr(_LevelSetBounds, "confirm")
         arms = benchmark_arms()
         reference = lucb_run(arms, 0.2, 0.0, "hoeffding", seed=13)
 
@@ -119,33 +151,13 @@ class TestStrategyIsolation:
                 counts, means, ns, delta_t
             ),
         )
-        confirmed = []
-        monkeypatch.setattr(
-            _LevelSetBounds, "confirm", lambda self, *args: not confirmed.append(args)
-        )
         disguised = lucb_run(arms, 0.2, 0.0, "levelset", seed=13)
-        assert len(confirmed) == 1  # asked once, at the screened stop
         assert disguised.stopping_time == reference.stopping_time
         assert disguised.identified_arm == reference.identified_arm
         assert disguised.per_arm_counts == reference.per_arm_counts
 
 
 class TestLevelSetBounds:
-    def test_runs_equal_under_masked_screen_oracle(self, monkeypatch):
-        """The incremental chi-square screen and the masked full-grid screen
-        recomputed every round give the same level-set LUCB runs."""
-        arms = benchmark_arms()
-        runs = [lucb_run(arms, 0.2, 0.1, "levelset", seed=s) for s in range(5)]
-        monkeypatch.setattr(
-            _LevelSetBounds,
-            "__call__",
-            lambda self, counts, means, ns, delta_t: levelset_screen_full(
-                self.arms, counts, delta_t, chi2_membership_grid_masked
-            ),
-        )
-        for seed, run in enumerate(runs):
-            assert lucb_run(arms, 0.2, 0.1, "levelset", seed=seed) == run
-
     def test_state_belongs_to_one_run(self):
         """A run's screen state does not leak into the next run: seed A,
         then seed B, then seed A again gives A's run twice."""
@@ -184,25 +196,74 @@ class TestLevelSetBounds:
                 assert lcb.tobytes() == want[i][t][0].tobytes()
                 assert ucb.tobytes() == want[i][t][1].tobytes()
 
-    def test_refuses_more_than_three_categories_up_front(self, monkeypatch):
-        """Exact level-set intervals scan a dense grid, which exists only
-        for k <= 3: four-category arms are refused before any grid is
-        built or any arm is pulled."""
+    def test_four_category_arms_complete(self):
+        """The bracket needs no grid, so arms with four categories run to
+        a stop and the better arm is picked."""
         values = LinearFunctional((0.0, 0.25, 0.75, 1.0))
         arms = [
             Arm(SimplexPoint((0.1, 0.2, 0.3, 0.4)), values),
             Arm(SimplexPoint((0.4, 0.3, 0.2, 0.1)), values),
         ]
+        run = lucb_run(arms, 0.1, 0.0, "levelset", seed=1)
+        assert run.completed
+        assert run.identified_arm == 0
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("grid or sampler built before the k check")
 
-        monkeypatch.setattr(bandit, "SimplexGrid", forbidden)
-        monkeypatch.setattr(bandit.np.random, "default_rng", forbidden)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="k <= 3"):
-            lucb_run(arms, 0.1, 0.0, "levelset", seed=1)
-        assert time.perf_counter() - start < 0.5
+class TestKlBallSup:
+    """Edge cases of the dual solver behind the level-set bracket."""
+
+    def test_boundary_optimum(self):
+        """The top-payoff category is unobserved and g'(max f) >= 0: the
+        bound is g at lambda = max f, reached with offset 0."""
+        f, w, eps = [0.0, 1.0], [1.0, 0.0], 0.5
+        bound, x = _kl_ball_sup(f, w, eps)
+        assert x == 0.0
+        assert bound == pytest.approx(1.0 - math.exp(-eps), abs=1e-15)
+
+    def test_interior_optimum_matches_two_point_kl(self):
+        """With f = (0, 1) the ball's range is the kl-bernoulli interval,
+        and for a mean inside (0, 1) the optimum is interior."""
+        w, eps = [0.7, 0.3], 0.05
+        bound, x = _kl_ball_sup([0.0, 1.0], w, eps)
+        assert x > 0.0
+        _, upper = bandit.kl_bernoulli_bounds_vec(0.3, eps)
+        assert bound == pytest.approx(float(upper), abs=1e-12)
+
+    def test_all_mass_on_top_category(self):
+        assert _kl_ball_sup([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], 3.0) == (1.0, 0.0)
+        assert _kl_ball_sup([1.0, 0.5, 1.0], [0.4, 0.0, 0.6], 3.0) == (1.0, 0.0)
+
+    def test_constant_payoff(self):
+        assert _kl_ball_sup([0.25] * 3, [0.2, 0.3, 0.5], 0.1) == (0.25, 0.0)
+
+    def test_one_category(self):
+        assert _kl_ball_sup([2.0], [1.0], 0.1) == (2.0, 0.0)
+        run = lucb_run(
+            [
+                Arm(SimplexPoint((1.0,)), LinearFunctional((0.0,))),
+                Arm(SimplexPoint((1.0,)), LinearFunctional((1.0,))),
+            ],
+            0.1, 0.0, "levelset", seed=4,
+        )
+        assert run.completed and run.identified_arm == 1 and run.stopping_time == 2
+
+    def test_one_draw_at_tiny_delta(self):
+        """n = 1 at delta_t = 1e-12: the ball reaches almost every vertex,
+        so the bracket is nearly the whole payoff range, and the observed
+        category alone pins its own end."""
+        f, w = [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]
+        counts = [0, 1, 0]
+        eps = kl_ball_radius(counts, 1e-12)
+        up, x_up = _kl_ball_sup(f, w, eps)
+        down, x_down = _kl_ball_sup([-v for v in f], w, eps)
+        assert x_up == x_down == 0.0
+        assert 1.0 - 1e-11 < up < 1.0
+        assert 0.0 < -down < 1e-11
+        lcb, ucb = _LevelSetBounds(
+            [Arm(SimplexPoint((0.2, 0.6, 0.2)), LinearFunctional(tuple(f)))]
+        )([np.array(counts)], None, None, 1e-12)
+        assert (lcb[0], ucb[0]) == (-down, up)
+        assert ucb[0] - lcb[0] > 1.0 - 2e-11
 
 
 class TestKlSolver:

@@ -1,7 +1,6 @@
 """Property tests of the paper's identities, of the probability ordering, of
-the level-set kernel's prune, of the chi-square screen, of the level-set
-bandit's incremental screen and of the KL-bound solver over generated
-inputs."""
+the level-set kernel's prune, of the KL-ball bracket on the level-set
+region and of the KL-bound solver over generated inputs."""
 import math
 
 import numpy as np
@@ -19,25 +18,31 @@ from simplexcr import (
 )
 from simplexcr.core import (
     SimplexGrid,
+    composition_rank,
     compositions_array,
     kl_bernoulli,
+    kl_to_many,
+    log_coefficients,
+    log_weights,
     outcome_log_pmf,
+    simplex_size,
 )
 from simplexcr.functionals import (
+    _kl_ball_sup,
     hoeffding_interval,
     kl_bernoulli_bounds_vec,
     kl_bernoulli_interval,
 )
-from simplexcr.bandit import Arm, _LevelSetBounds
-from simplexcr.functionals import LinearFunctional
-from simplexcr.regions import _probability_ordering, levelset_membership_grid
+from simplexcr.regions import (
+    _probability_ordering,
+    kl_ball_radius,
+    levelset_membership_grid,
+    phat_mass_survivors,
+)
 
 from oracles import (
-    chi2_membership_grid,
-    chi2_membership_grid_masked,
     kl_bernoulli_bounds_bisection,
     levelset_membership_grid_kl_prune,
-    levelset_screen_full,
     probability_ordering_lexsort,
 )
 
@@ -124,76 +129,128 @@ def log_uniform_deltas(top):
 
 
 @st.composite
-def screen_cases(draw):
-    k = draw(st.integers(2, 4))
-    M = draw(st.integers(10, 120))
-    counts = draw(
-        st.lists(
-            st.one_of(st.just(0), st.integers(0, 400)), min_size=k, max_size=k
-        ).filter(lambda c: sum(c) >= 1)
+def bracket_cases(draw):
+    """k from 2 to 5, counts with zeros, delta log-uniform in [1e-12, 0.9]
+    and normal payoffs, some of them tied."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, (60, 30, 12, 8)[k - 2]))
+    weights = draw(
+        st.lists(st.one_of(st.just(0), st.integers(1, 9)), min_size=k, max_size=k)
     )
-    return EmpiricalDistribution(tuple(counts)), draw(log_uniform_deltas(0.99)), k, M
+    total = sum(weights) or 1
+    cells = [c * n // total for c in weights[:-1]]
+    counts = tuple(cells) + (n - sum(cells),)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.normal(size=k)
+    if draw(st.booleans()):  # tie the top payoff with another category
+        f[rng.integers(k)] = f.max()
+    return counts, draw(log_uniform_deltas(0.9)), f
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(screen_cases())
-def test_mask_free_screen_matches_masked_screen(case):
-    """chi2_membership_grid, which computes the statistic on every grid row
-    and lets rows with a zero coordinate fail by inf or nan, gives the bits
-    of the screen that masked those rows out first: a row with a zero
-    coordinate is never a screen member, which the level-set bandit's
-    incremental screen relies on when it drops such rows."""
-    phat, delta, k, M = case
-    points = SimplexGrid(k, M).points
-    want = chi2_membership_grid_masked(phat, delta, points)
-    assert np.array_equal(chi2_membership_grid(phat, delta, points), want)
+def bracket(counts, delta, f):
+    """[-sup(-f), sup f] over the KL ball that holds the level-set region,
+    with the two dual offsets lambda - max g, g = -f and f."""
+    n = sum(counts)
+    eps = kl_ball_radius(counts, delta) / n
+    w = [c / n for c in counts]
+    down, x_down = _kl_ball_sup([-v for v in f], w, eps)
+    up, x_up = _kl_ball_sup(list(f), w, eps)
+    return -down, up, eps, x_down, x_up
 
 
-@st.composite
-def screen_streams(draw):
-    """2-5 arms with 2 or 3 categories, each pulled once, then up to 40
-    rounds that pull 0, 1 or 2 arms each, 1 to 5,000 draws at a time, so
-    that some regions fall between grid points. Every arm draws only
-    categories of a drawn support, so counts often hold zeros. delta_t
-    falls as LUCB's delta / (K t (t + 1))."""
-    num_arms = draw(st.integers(2, 5))
-    arms, supports = [], []
-    for _ in range(num_arms):
-        k = draw(st.sampled_from((2, 3)))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        values = LinearFunctional(tuple(float(v) for v in rng.normal(size=k)))
-        pmf = SimplexPoint(tuple(rng.dirichlet(np.ones(k))), normalize=True)
-        arms.append(Arm(pmf, values))
-        supports.append(
-            draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
-        )
-    batch = st.sampled_from((1, 2, 3, 50, 5000))
-    pull = st.tuples(st.integers(0, num_arms - 1), st.integers(0, 2), batch)
-    rounds = draw(st.lists(st.lists(pull, max_size=2), min_size=1, max_size=40))
-    first = [draw(st.integers(0, 2)) for _ in range(num_arms)]
-    delta = draw(log_uniform_deltas(0.5))
-    return arms, supports, first, rounds, delta
+def ball_maximizer(f, w, eps, x):
+    """The maximizer of f.p over {p : KL(w || p) <= eps} that the dual
+    point lambda = max f + x gives: p_j = w_j / ((lambda - f_j) S1) inside;
+    at the boundary x = 0, E w_j / (lambda - f_j) on the observed categories
+    and the rest of the mass on an unobserved top-payoff category; w itself
+    when every observed category pays max f."""
+    f, w = np.asarray(f, dtype=float), np.asarray(w, dtype=float)
+    obs = w > 0.0
+    top = f.max()
+    if (f[obs] == top).all():
+        return w
+    p = np.zeros_like(w)
+    d = x + (top - f[obs])
+    if x == 0.0:
+        e = math.exp(float(w[obs] @ np.log(d)) - eps)
+        p[obs] = e * w[obs] / d
+        p[np.flatnonzero(~obs & (f == top))[0]] = 1.0 - p.sum()
+    else:
+        p[obs] = w[obs] / d / (w[obs] / d).sum()
+    return p
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(screen_streams())
-def test_incremental_screen_matches_full_screen(case):
-    """After every round the level-set bandit's incremental screen gives
-    the bitwise endpoints of the screen that recomputes chi2_membership_grid
-    over the whole grid for every arm."""
-    arms, supports, first, rounds, delta = case
-    bounds = _LevelSetBounds(arms)
-    counts = [np.zeros(arm.pmf.k, dtype=np.int64) for arm in arms]
-    for a, c in enumerate(first):
-        counts[a][supports[a][c % len(supports[a])]] += 1
-    for t, pulls in enumerate(rounds, start=1):
-        delta_t = delta / (len(arms) * t * (t + 1))
-        got = bounds(counts, None, None, delta_t)
-        want = levelset_screen_full(arms, counts, delta_t)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        for a, c, draws in pulls:
-            counts[a][supports[a][c % len(supports[a])]] += draws
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(bracket_cases())
+def test_kl_ball_bracket_contains_the_region(case):
+    """The bracket holds the payoff of every level-set member: members of a
+    resolution-60 grid at k <= 3, of 3,000 Dirichlet draws at k >= 4."""
+    counts, delta, f = case
+    k = len(counts)
+    lower, upper = bracket(counts, delta, f)[:2]
+    if k <= 3:
+        points = SimplexGrid(k, 60).points
+    else:
+        points = np.random.default_rng(sum(counts)).dirichlet(np.ones(k), 3000)
+    member = levelset_membership_grid(EmpiricalDistribution(counts), delta, points)
+    fv = points[member] @ f
+    assert (fv >= lower - 1e-9).all()
+    assert (fv <= upper + 1e-9).all()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bracket_cases())
+def test_kl_ball_bracket_is_tight(case):
+    """At each end, the primal point recovered at the solver's dual point
+    lies in the ball (KL at most eps (1 + 1e-9)) and has a payoff within
+    1e-9 of the end."""
+    counts, delta, f = case
+    lower, upper, eps, x_down, x_up = bracket(counts, delta, f)
+    w = np.array(counts) / sum(counts)
+    for g, end, x in ((-f, -lower, x_down), (f, upper, x_up)):
+        p = ball_maximizer(g, w, eps, x)
+        assert kl_to_many(w, p[None, :])[0] <= eps * (1.0 + 1e-9)
+        assert abs(float(g @ p) - end) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bracket_cases(), st.lists(st.floats(-9.0, 3.0), min_size=1, max_size=5))
+def test_kl_ball_dual_is_least_at_the_solution(case, offsets):
+    """g(lambda) at lambda = max f and at max f + 10^u, u in [-9, 3], is at
+    least the solver's bound, up to rounding."""
+    counts, delta, f = case
+    w = np.array(counts) / sum(counts)
+    _, upper, eps, _, _ = bracket(counts, delta, f)
+    obs = w > 0.0
+    for lam in [f.max()] + [f.max() + 10.0**u for u in offsets]:
+        with np.errstate(divide="ignore"):
+            log_e = float(w[obs] @ np.log(lam - f[obs])) - eps
+        assert lam - math.exp(log_e) >= upper - 1e-12 * (1.0 + abs(lam))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bracket_cases(), st.integers(0, 2**32 - 1))
+def test_kl_ball_radius_restates_the_prune(case, seed):
+    """n KL(phat || p) < kl_ball_radius exactly where phat_mass_survivors
+    keeps p, on every point farther than 1e-9 r from the radius: uniform
+    Dirichlet points, points drawn around phat at several spreads, and the
+    vertices, of which at least one lies outside the ball."""
+    counts, delta, _ = case
+    k, n = len(counts), sum(counts)
+    rng = np.random.default_rng(seed)
+    w = np.array(counts) / n
+    points = np.vstack(
+        [np.eye(k), rng.dirichlet(np.ones(k), 200)]
+        + [rng.dirichlet(w * s + 0.05, 200) for s in (3.0, 30.0, 300.0)]
+    )
+    r = kl_ball_radius(counts, delta)
+    q = log_coefficients(k, n)[composition_rank(counts)]
+    q = q + log_weights(points) @ np.array(counts, dtype=float)
+    kept = phat_mass_survivors(q, simplex_size(k, n), delta)
+    nkl = n * kl_to_many(w, points)
+    far = np.abs(nkl - r) > 1e-9 * r
+    assert np.array_equal((nkl < r)[far], kept[far])
+    assert (nkl < r).any() and not (nkl < r).all()
 
 
 @st.composite

@@ -15,7 +15,6 @@ from simplexcr import (
     RegionSpec,
     SimplexGrid,
     SimplexPoint,
-    chi2_prefilter,
     covering_collection,
     enumerate_simplex,
     level_set_membership_via_pvalue,
@@ -289,32 +288,8 @@ class TestOuterBound:
                 assert lp >= -n * div - k * math.log(n + 1) - 1e-9
 
 
-class TestChi2Prefilter:
-    def test_exact_fit_gives_one(self):
-        phat = EmpiricalDistribution((5, 5, 5))
-        assert chi2_prefilter(phat, UNIFORM3) == pytest.approx(1.0)
-
-    def test_hand_evaluated_statistic(self):
-        # counts (6,6,3) against uniform expectation 5: (1+1+4)/5 = 1.2
-        from scipy.stats import chi2
-
-        phat = EmpiricalDistribution((6, 6, 3))
-        assert chi2_prefilter(phat, UNIFORM3) == pytest.approx(
-            float(chi2.sf(1.2, 2)), abs=1e-14
-        )
-
-    def test_monotone_in_statistic(self):
-        base = chi2_prefilter(EmpiricalDistribution((6, 6, 3)), UNIFORM3)
-        worse = chi2_prefilter(EmpiricalDistribution((9, 3, 3)), UNIFORM3)
-        assert worse < base
-
-    def test_zero_coordinate_unavailable(self):
-        with pytest.raises(ValueError):
-            chi2_prefilter(EmpiricalDistribution((1, 1, 1)), SimplexPoint((0.5, 0.5, 0.0)))
-
-
 def test_import_leaves_scipy_stats_unloaded():
-    """The chi-square tail comes from scipy.special, so importing the package
+    """Special functions come from scipy.special, so importing the package
     must not load scipy.stats, which alone more than doubles the import
     time."""
     src = os.path.dirname(os.path.dirname(simplexcr.__file__))

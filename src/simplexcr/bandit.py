@@ -2,11 +2,11 @@
 
 Each arm is a categorical distribution with per-category payoffs; arms are
 compared through confidence intervals on their mean payoff. Every
-construction is one bounds object, called as ``bounds(counts, means, ns,
-delta_t) -> (lcb, ucb)`` for each round's endpoints. The loop picks the
-object by method name and sees nothing else, so swapping constructions
-changes nothing but the endpoint values. A run stops as soon as the
-leader's lower end clears every rival's upper end minus the tolerance.
+construction is one bounds object with per-arm ends ``lower(a, counts,
+mean, n, delta_t)`` and ``upper(...)``; the loop picks it by method name
+and sees nothing else, so swapping constructions changes only the ends. A
+run stops as soon as the leader's lower end clears every rival's upper
+end minus the tolerance; a round asks for those K ends only.
 
 Per-round error budget: at round t every arm's interval is built at
 delta / (K * t * (t + 1)), which sums to delta over all arms and rounds.
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimplexPoint
-from .functionals import LinearFunctional, _kl_ball_sup, kl_bernoulli_bounds_vec
-from .regions import kl_ball_radius
+from .functionals import LinearFunctional, _kl_ball_sup, _kl_root
+from .regions import _kl_ball_offset
 
 _BENCHMARK_PMFS = (
     (0.1, 0.6, 0.3),
@@ -68,35 +68,36 @@ def benchmark_arms() -> list[Arm]:
 
 
 class _MeanBounds:
-    """Endpoints from the arms' sample means, scaled to each arm's payoff
-    range [los, los + spans]."""
+    """Endpoints from an arm's sample mean on its payoff range [los[a],
+    los[a] + spans[a]]; ``_end`` gives the end toward edge 0 or 1."""
 
     def __init__(self, arms: list[Arm]):
-        self.spans = np.array(
-            [arm.values.value_range[1] - arm.values.value_range[0] for arm in arms]
-        )
-        self.los = np.array([arm.values.value_range[0] for arm in arms])
+        self.los = [arm.values.value_range[0] for arm in arms]
+        self.spans = [arm.values.value_range[1] - lo for arm, lo in zip(arms, self.los)]
+
+    def lower(self, a, counts, mean, n, delta_t):
+        return self._end(a, mean, n, delta_t, 0.0)
+
+    def upper(self, a, counts, mean, n, delta_t):
+        return self._end(a, mean, n, delta_t, 1.0)
 
 
 class _HoeffdingBounds(_MeanBounds):
-    def __call__(self, counts, means, ns, delta_t):
-        radius = self.spans * np.sqrt(math.log(2.0 / delta_t) / (2.0 * ns))
-        lcb = np.maximum(means - radius, self.los)
-        ucb = np.minimum(means + radius, self.los + self.spans)
-        return lcb, ucb
+    def _end(self, a, mean, n, delta_t, edge):
+        lo, span = self.los[a], self.spans[a]
+        radius = span * math.sqrt(math.log(2.0 / delta_t) / (2.0 * n))
+        return min(mean + radius, lo + span) if edge else max(mean - radius, lo)
 
 
 class _KlBernoulliBounds(_MeanBounds):
-    def __call__(self, counts, means, ns, delta_t):
-        span = np.where(self.spans > 0.0, self.spans, 1.0)
-        scaled = np.clip((means - self.los) / span, 0.0, 1.0)
-        levels = math.log(2.0 / delta_t) / ns
-        lo_s, hi_s = kl_bernoulli_bounds_vec(scaled, levels)
-        lcb = self.los + self.spans * lo_s
-        ucb = self.los + self.spans * hi_s
-        return np.where(self.spans > 0.0, lcb, means), np.where(
-            self.spans > 0.0, ucb, means
-        )
+    def _end(self, a, mean, n, delta_t, edge):
+        """The two-point KL interval's end of the mean scaled to [0, 1]; a
+        constant payoff's interval is its mean."""
+        lo, span = self.los[a], self.spans[a]
+        if not span > 0.0:
+            return mean
+        scaled = min(max((mean - lo) / span, 0.0), 1.0)
+        return lo + span * _kl_root(scaled, math.log(2.0 / delta_t) / n, edge)
 
 
 class _LevelSetBounds:
@@ -106,10 +107,11 @@ class _LevelSetBounds:
     r = kl_ball_radius(counts, delta_t), so the payoff's range over that
     ball, [-sup(-f).p, sup f.p] from _kl_ball_sup, clamped to the payoff
     range, is a certified outer interval: wider than the region's exact
-    range, for any number of categories, with no grid. Each (arm, side)
-    starts its solve from its last dual point, about 3 dual evaluations per
-    solve against 8 from a cold start; the starts belong to the instance,
-    that is to one run.
+    range, for any number of categories, with no grid. r less log(2 /
+    delta_t) and phat's weights are kept per arm until its counts change.
+    Each (arm, side) starts its solve from that side's last dual point, a
+    sound bound however stale, for about 3 dual evaluations per solve
+    against 8 cold. The state belongs to the instance, that is to one run.
     """
 
     def __init__(self, arms: list[Arm]):
@@ -118,19 +120,27 @@ class _LevelSetBounds:
         ]
         self.ranges = [arm.values.value_range for arm in arms]
         self.starts = [[None, None] for _ in arms]  # per arm: lower, upper end
+        self.balls = [None] * len(arms)  # per arm: counts, n, offset, weights
 
-    def __call__(self, counts, means, ns, delta_t):
-        ends = np.array(self.ranges)
-        for a, c in enumerate(counts):
-            c = c.tolist()
+    def _sup(self, a, counts, delta_t, side):
+        """sup over the ball of payoff -f (side 0) or f (side 1)."""
+        c = counts.tolist()
+        ball = self.balls[a]
+        if ball is None or ball[0] != c:
             n = sum(c)
-            eps = kl_ball_radius(c, delta_t) / n
-            w = [x / n for x in c]
-            (neg, pos), start = self.payoffs[a], self.starts[a]
-            down, start[0] = _kl_ball_sup(neg, w, eps, start[0])
-            up, start[1] = _kl_ball_sup(pos, w, eps, start[1])
-            ends[a] = max(ends[a, 0], -down), min(ends[a, 1], up)
-        return ends[:, 0], ends[:, 1]
+            ball = self.balls[a] = (c, n, _kl_ball_offset(c), [x / n for x in c])
+        _, n, offset, w = ball
+        eps = (offset + math.log(2.0 / delta_t)) / n
+        sup, self.starts[a][side] = _kl_ball_sup(
+            self.payoffs[a][side], w, eps, self.starts[a][side]
+        )
+        return sup
+
+    def lower(self, a, counts, mean, n, delta_t):
+        return max(self.ranges[a][0], -self._sup(a, counts, delta_t, 0))
+
+    def upper(self, a, counts, mean, n, delta_t):
+        return min(self.ranges[a][1], self._sup(a, counts, delta_t, 1))
 
 
 _BOUNDS = {
@@ -170,10 +180,13 @@ def lucb_run(
         cdf /= cdf[-1]
     vals = [np.asarray(arm.values.values) for arm in arms]
     counts = [np.zeros(arm.pmf.k, dtype=np.int64) for arm in arms]
+    ns, means = [0] * num_arms, [0.0] * num_arms
 
     def pull(a: int) -> None:
         # the draw of rng.choice(k, p=pmf), without re-validating pmf
         counts[a][cdfs[a].searchsorted(rng.random(), side="right")] += 1
+        ns[a] += 1
+        means[a] = float(counts[a] @ vals[a] / ns[a])
 
     for a in range(num_arms):
         pull(a)
@@ -183,16 +196,14 @@ def lucb_run(
     while True:
         t += 1
         delta_t = delta / (num_arms * t * (t + 1))
-        ns = np.array([c.sum() for c in counts], dtype=float)
-        means = np.array([counts[a] @ vals[a] / ns[a] for a in range(num_arms)])
-        lcb, ucb = bounds(counts, means, ns, delta_t)
+        leader = max(range(num_arms), key=means.__getitem__)
+        lcb = bounds.lower(leader, counts[leader], means[leader], ns[leader], delta_t)
+        rivals = [a for a in range(num_arms) if a != leader]
+        ucbs = [bounds.upper(a, counts[a], means[a], ns[a], delta_t) for a in rivals]
+        ucb = max(ucbs)
+        challenger = rivals[ucbs.index(ucb)]  # the first rival with that end
 
-        leader = int(np.argmax(means))
-        rival_ucb = ucb.copy()
-        rival_ucb[leader] = -np.inf
-        challenger = int(np.argmax(rival_ucb))
-
-        completed = bool(lcb[leader] >= ucb[challenger] - tolerance)
+        completed = lcb >= ucb - tolerance
 
         if completed or samples + 2 > sample_cap:
             return BanditRun(

@@ -307,12 +307,17 @@ def kl_ball_radius(counts, delta: float) -> float:
     the method-of-types radius."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return _kl_ball_offset(counts) + math.log(2.0 / delta)
+
+
+def _kl_ball_offset(counts) -> float:
+    """The radius less its last term, log(2 / delta)."""
     c = [int(x) for x in counts]
     n = sum(c)
     log_c = math.lgamma(n + 1) - math.fsum(math.lgamma(x + 1) for x in c)
     n_entropy = math.fsum(x * math.log(n / x) for x in c if x > 0)
     log_num = math.log(simplex_size(len(c), n))
-    return log_c - n_entropy + log_num + LOG_TIE_TOL + math.log(2.0 / delta)
+    return log_c - n_entropy + log_num + LOG_TIE_TOL
 
 
 def levelset_membership_grid(

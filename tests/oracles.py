@@ -6,7 +6,8 @@ endpoints, a lexsort with a per-run re-sort for the probability ordering,
 and the level-set grid kernel with its KL outer-bound prune. These stay
 deliberately separate from the library's arithmetic outcome table, its
 log-space code paths, its Newton KL-bound solver, its run-key ordering
-and its phat-mass prune."""
+and its phat-mass prune. The whole-array Hoeffding and kl-bernoulli LUCB
+endpoints are the references for the bandit's per-arm formulas."""
 from __future__ import annotations
 
 import math
@@ -26,6 +27,7 @@ from simplexcr.core import (
     log_coefficients,
     log_weights,
 )
+from simplexcr.functionals import kl_bernoulli_bounds_vec
 from simplexcr.regions import _BATCH_ENTRIES
 
 
@@ -145,6 +147,26 @@ def _bisect_edge(inside, lo: float, hi: float, want_inside_right: bool) -> float
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def hoeffding_arm_bounds(los, spans, means, ns, delta_t):
+    """Every arm's Hoeffding (lcb, ucb) at once, on payoff ranges [los, los
+    + spans]."""
+    radius = spans * np.sqrt(math.log(2.0 / delta_t) / (2.0 * ns))
+    return np.maximum(means - radius, los), np.minimum(means + radius, los + spans)
+
+
+def kl_bernoulli_arm_bounds(los, spans, means, ns, delta_t):
+    """Every arm's two-point KL (lcb, ucb) at once: the means scaled to [0,
+    1], both roots from kl_bernoulli_bounds_vec, scaled back; a zero span's
+    ends are its mean."""
+    span = np.where(spans > 0.0, spans, 1.0)
+    scaled = np.clip((means - los) / span, 0.0, 1.0)
+    levels = math.log(2.0 / delta_t) / ns
+    lo_s, hi_s = kl_bernoulli_bounds_vec(scaled, levels)
+    lcb = los + spans * lo_s
+    ucb = los + spans * hi_s
+    return np.where(spans > 0.0, lcb, means), np.where(spans > 0.0, ucb, means)
 
 
 def kl_bernoulli_bounds_bisection(mean_hats, levels):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexcr import (
     Arm,
@@ -13,10 +15,24 @@ from simplexcr import (
 )
 from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
-from simplexcr.functionals import _kl_ball_sup
+from simplexcr.functionals import _kl_ball_sup, _kl_root
 from simplexcr.regions import kl_ball_radius
 
-from oracles import kl_bernoulli_bounds_bisection
+from oracles import (
+    hoeffding_arm_bounds,
+    kl_bernoulli_arm_bounds,
+    kl_bernoulli_bounds_bisection,
+)
+
+
+def four_category_arms() -> list[Arm]:
+    """Three four-category arms, each with one zero entry."""
+    values = LinearFunctional((0.0, 0.25, 0.75, 1.0))
+    return [
+        Arm(SimplexPoint((0.0, 0.3, 0.3, 0.4)), values),
+        Arm(SimplexPoint((0.4, 0.0, 0.3, 0.3)), values),
+        Arm(SimplexPoint((0.25, 0.25, 0.5, 0.0)), values),
+    ]
 
 
 def deterministic_arms() -> list[Arm]:
@@ -86,13 +102,7 @@ class TestLucbBasics:
         """Three kl-bernoulli runs as recorded when every pull still called
         rng.choice: the CDF draw gives the same categories, on three-category
         arms, on four-category arms with zero entries, and up to the cap."""
-        arms = benchmark_arms()
-        values = LinearFunctional((0.0, 0.25, 0.75, 1.0))
-        arms4 = [
-            Arm(SimplexPoint((0.0, 0.3, 0.3, 0.4)), values),
-            Arm(SimplexPoint((0.4, 0.0, 0.3, 0.3)), values),
-            Arm(SimplexPoint((0.25, 0.25, 0.5, 0.0)), values),
-        ]
+        arms, arms4 = benchmark_arms(), four_category_arms()
         recorded = [
             (
                 lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=31),
@@ -113,6 +123,56 @@ class TestLucbBasics:
         for got, want in recorded:
             assert got == want
 
+    def test_levelset_runs_equal_recorded_runs(self):
+        """Three level-set runs as recorded when every round computed both
+        ends of every arm, warm-starting every (arm, side) every round: on
+        the benchmark arms at tolerance 0 and 0.1, and on four-category
+        arms with zero entries."""
+        arms, arms4 = benchmark_arms(), four_category_arms()
+        recorded = [
+            (
+                lucb_run(arms, 0.2, 0.0, "levelset", seed=41),
+                BanditRun(41, 1403, 0, ((63, 431, 204), (101, 198, 39), (73, 100, 20),
+                          (47, 26, 6), (61, 22, 12)), "levelset", 700, True),
+            ),
+            (
+                lucb_run(arms, 0.2, 0.1, "levelset", seed=42),
+                BanditRun(42, 485, 0, ((18, 150, 73), (28, 51, 7), (29, 40, 6),
+                          (32, 12, 5), (27, 5, 2)), "levelset", 241, True),
+            ),
+            (
+                lucb_run(arms4, 0.1, 0.0, "levelset", seed=43),
+                BanditRun(43, 3521, 0, ((0, 560, 536, 664), (630, 0, 480, 517),
+                          (29, 38, 67, 0)), "levelset", 1760, True),
+            ),
+        ]
+        for got, want in recorded:
+            assert got == want
+
+    @pytest.mark.parametrize("method", ["hoeffding", "kl-bernoulli", "levelset"])
+    def test_one_lower_and_rival_uppers_per_round(self, method, monkeypatch):
+        """Each round asks for the leader's lower end and every rival's upper
+        end, nothing more: the ends the stop rule reads."""
+        calls = []
+
+        class Counting(bandit._BOUNDS[method]):
+            def lower(self, a, *rest):
+                calls.append(("lower", a))
+                return super().lower(a, *rest)
+
+            def upper(self, a, *rest):
+                calls.append(("upper", a))
+                return super().upper(a, *rest)
+
+        monkeypatch.setitem(bandit._BOUNDS, method, Counting)
+        arms = benchmark_arms()
+        run = lucb_run(arms, 0.2, 0.1, method, seed=7)
+        assert len(calls) == run.rounds * len(arms)
+        for t in range(run.rounds):
+            (side, leader), *rivals = calls[t * len(arms) : (t + 1) * len(arms)]
+            assert side == "lower"
+            assert rivals == [("upper", a) for a in range(len(arms)) if a != leader]
+
 
 class TestStrategyIsolation:
     def test_sampling_rule_sees_only_endpoints(self, monkeypatch):
@@ -123,11 +183,10 @@ class TestStrategyIsolation:
 
         hoeffding = _HoeffdingBounds(arms)
         monkeypatch.setattr(
-            _KlBernoulliBounds,
-            "__call__",
-            lambda self, counts, means, ns, delta_t: hoeffding(
-                counts, means, ns, delta_t
-            ),
+            _KlBernoulliBounds, "lower", lambda self, *args: hoeffding.lower(*args)
+        )
+        monkeypatch.setattr(
+            _KlBernoulliBounds, "upper", lambda self, *args: hoeffding.upper(*args)
         )
         disguised = lucb_run(arms, 0.2, 0.0, "kl-bernoulli", seed=13)
         assert disguised.stopping_time == reference.stopping_time
@@ -145,11 +204,10 @@ class TestStrategyIsolation:
 
         hoeffding = _HoeffdingBounds(arms)
         monkeypatch.setattr(
-            _LevelSetBounds,
-            "__call__",
-            lambda self, counts, means, ns, delta_t: hoeffding(
-                counts, means, ns, delta_t
-            ),
+            _LevelSetBounds, "lower", lambda self, *args: hoeffding.lower(*args)
+        )
+        monkeypatch.setattr(
+            _LevelSetBounds, "upper", lambda self, *args: hoeffding.upper(*args)
         )
         disguised = lucb_run(arms, 0.2, 0.0, "levelset", seed=13)
         assert disguised.stopping_time == reference.stopping_time
@@ -170,7 +228,9 @@ class TestLevelSetBounds:
 
     def test_interleaved_instances_match_solo_runs(self):
         """Two bounds objects driven alternately with different count
-        streams each give the endpoints of the same stream driven alone."""
+        streams, each round asking for one arm's lower end and the other
+        arms' upper ends as the loop does, each give the endpoints of the
+        same stream driven alone."""
         arms = benchmark_arms()
         rng = np.random.default_rng(8)
         streams = []
@@ -180,21 +240,30 @@ class TestLevelSetBounds:
             for t in range(1, 60):
                 for a in rng.choice(len(arms), size=2, replace=False):
                     counts[a][rng.integers(3)] += 1
-                stream.append(([c.copy() for c in counts], 0.05 / (5 * t * (t + 1))))
+                leader = int(rng.integers(len(arms)))
+                stream.append(
+                    ([c.copy() for c in counts], leader, 0.05 / (5 * t * (t + 1)))
+                )
             streams.append(stream)
+
+        def ends(bounds, counts, leader, delta_t):
+            return [
+                (bounds.lower if a == leader else bounds.upper)(
+                    a, counts[a], None, None, delta_t
+                )
+                for a in range(len(arms))
+            ]
 
         def solo(stream):
             bounds = _LevelSetBounds(arms)
-            return [bounds(c, None, None, d) for c, d in stream]
+            return [ends(bounds, *step) for step in stream]
 
         want = [solo(stream) for stream in streams]
         pair = [_LevelSetBounds(arms), _LevelSetBounds(arms)]
         for t in range(len(streams[0])):
             for i in (0, 1):
-                counts, delta_t = streams[i][t]
-                lcb, ucb = pair[i](counts, None, None, delta_t)
-                assert lcb.tobytes() == want[i][t][0].tobytes()
-                assert ucb.tobytes() == want[i][t][1].tobytes()
+                got = ends(pair[i], *streams[i][t])
+                assert np.array(got).tobytes() == np.array(want[i][t]).tobytes()
 
     def test_four_category_arms_complete(self):
         """The bracket needs no grid, so arms with four categories run to
@@ -226,8 +295,7 @@ class TestKlBallSup:
         w, eps = [0.7, 0.3], 0.05
         bound, x = _kl_ball_sup([0.0, 1.0], w, eps)
         assert x > 0.0
-        _, upper = bandit.kl_bernoulli_bounds_vec(0.3, eps)
-        assert bound == pytest.approx(float(upper), abs=1e-12)
+        assert bound == pytest.approx(_kl_root(0.3, eps, 1.0), abs=1e-12)
 
     def test_all_mass_on_top_category(self):
         assert _kl_ball_sup([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], 3.0) == (1.0, 0.0)
@@ -259,22 +327,43 @@ class TestKlBallSup:
         assert x_up == x_down == 0.0
         assert 1.0 - 1e-11 < up < 1.0
         assert 0.0 < -down < 1e-11
-        lcb, ucb = _LevelSetBounds(
+        bounds = _LevelSetBounds(
             [Arm(SimplexPoint((0.2, 0.6, 0.2)), LinearFunctional(tuple(f)))]
-        )([np.array(counts)], None, None, 1e-12)
-        assert (lcb[0], ucb[0]) == (-down, up)
-        assert ucb[0] - lcb[0] > 1.0 - 2e-11
+        )
+        lcb = bounds.lower(0, np.array(counts), None, None, 1e-12)
+        ucb = bounds.upper(0, np.array(counts), None, None, 1e-12)
+        assert (lcb, ucb) == (-down, up)
+        assert ucb - lcb > 1.0 - 2e-11
 
 
 class TestKlSolver:
     def test_runs_equal_under_bisection_oracle(self, monkeypatch):
         """The Newton KL-bound solver and the 64-step bisection it replaced
-        give the same kl-bernoulli LUCB runs (500-600 rounds each)."""
+        give the same kl-bernoulli LUCB runs (500-600 rounds each). The
+        bisection's scalar stand-in for _kl_root looks its ends up in one
+        array call over every root the Newton runs asked for, and calls the
+        bisection for any other root."""
         arms = benchmark_arms()
+        asked = []
+
+        def recording(mean_hat, level, edge):
+            asked.append((mean_hat, level, edge))
+            return _kl_root(mean_hat, level, edge)
+
+        monkeypatch.setattr(bandit, "_kl_root", recording)
         runs = [lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=s) for s in range(5)]
-        monkeypatch.setattr(
-            bandit, "kl_bernoulli_bounds_vec", kl_bernoulli_bounds_bisection
-        )
+        mean_hats, levels, edges = (np.array(x) for x in zip(*asked))
+        lower, upper = kl_bernoulli_bounds_bisection(mean_hats, levels)
+        table = dict(zip(asked, np.where(edges == 1.0, upper, lower).tolist()))
+
+        def bisection_root(mean_hat, level, edge):
+            key = (mean_hat, level, edge)
+            if key not in table:
+                ends = kl_bernoulli_bounds_bisection(mean_hat, level)
+                table[key] = float(ends[edge == 1.0])
+            return table[key]
+
+        monkeypatch.setattr(bandit, "_kl_root", bisection_root)
         for seed, run in enumerate(runs):
             assert lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=seed) == run
 
@@ -288,10 +377,58 @@ class TestMethodOrdering:
         kl = _KlBernoulliBounds(arms)
         rng = np.random.default_rng(19)
         for _ in range(50):
-            ns = rng.integers(1, 200, size=5).astype(float)
-            means = rng.uniform(0, 1, size=5)
+            a = int(rng.integers(len(arms)))
+            n = int(rng.integers(1, 200))
+            mean = float(rng.uniform(0, 1))
             delta_t = float(rng.uniform(1e-6, 0.2))
-            h_lo, h_hi = hoeff(None, means, ns, delta_t)
-            k_lo, k_hi = kl(None, means, ns, delta_t)
-            assert (k_lo >= h_lo - 1e-12).all()
-            assert (k_hi <= h_hi + 1e-12).all()
+            args = (a, None, mean, n, delta_t)
+            assert kl.lower(*args) >= hoeff.lower(*args) - 1e-12
+            assert kl.upper(*args) <= hoeff.upper(*args) + 1e-12
+
+
+@st.composite
+def arm_rounds(draw):
+    """Arms with random payoffs (a constant payoff among them, a zero
+    span), and a round's per-arm means, sample counts and delta_t; a mean
+    may sit at or an ulp past either end of its payoff range, where the
+    kl-bernoulli scaling clamps it."""
+    num = draw(st.integers(1, 5))
+    payoff = st.floats(-3.0, 3.0, allow_subnormal=False)
+    arms, means = [], []
+    for _ in range(num):
+        values = draw(st.lists(payoff, min_size=1, max_size=4))
+        arms.append(Arm(SimplexPoint((1.0 / len(values),) * len(values)),
+                        LinearFunctional(tuple(values))))
+        lo, hi = min(values), max(values)
+        mean = draw(st.one_of(
+            st.floats(lo, hi),
+            st.sampled_from([lo, hi, math.nextafter(lo, -math.inf),
+                             math.nextafter(hi, math.inf)]),
+        ))
+        means.append(mean)
+    ns = draw(st.lists(st.integers(1, 10**6), min_size=num, max_size=num))
+    delta_t = 10.0 ** -draw(st.floats(0.31, 30.0))
+    return arms, means, ns, delta_t
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(arm_rounds())
+@example((benchmark_arms(), [0.6, 0.0, 1.0, 0.25, 0.5], [1, 2, 3, 40, 500], 0.005))
+def test_per_arm_ends_match_whole_array_formulas(case):
+    """Each arm's lower and upper end from the Hoeffding and kl-bernoulli
+    bounds objects is, bit for bit, that arm's entry of the whole-array
+    formula over every arm."""
+    arms, means, ns, delta_t = case
+    los = np.array([arm.values.value_range[0] for arm in arms])
+    spans = np.array([arm.values.value_range[1] for arm in arms]) - los
+    means_a, ns_a = np.array(means), np.array(ns, dtype=float)
+    for cls, oracle in (
+        (_HoeffdingBounds, hoeffding_arm_bounds),
+        (_KlBernoulliBounds, kl_bernoulli_arm_bounds),
+    ):
+        lcb, ucb = oracle(los, spans, means_a, ns_a, delta_t)
+        bounds = cls(arms)
+        for a in range(len(arms)):
+            args = (a, None, means[a], ns[a], delta_t)
+            assert np.float64(bounds.lower(*args)).tobytes() == lcb[a].tobytes()
+            assert np.float64(bounds.upper(*args)).tobytes() == ucb[a].tobytes()

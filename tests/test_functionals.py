@@ -407,6 +407,27 @@ class TestKlBernoulliInterval:
             assert h == pytest.approx(iv.upper, abs=1e-9)
 
 
+    def test_subnormal_lower_root_takes_few_evaluations(self, monkeypatch):
+        """The lower end at mean_hat 0.046 and level 46 is a subnormal float,
+        2.6e-310, about 1,030 binades below mean_hat: one halving per binade
+        took about 1,070 KL evaluations. Bisecting the exponent instead
+        takes at most 100 and still returns the last feasible float."""
+        from simplexcr import functionals
+
+        evaluations = []
+
+        def counting(a, b):
+            evaluations.append(b)
+            return kl_bernoulli(a, b)
+
+        monkeypatch.setattr(functionals, "kl_bernoulli", counting)
+        root = functionals._kl_root(0.046, 46.0, 0.0)
+        assert 0.0 < root < 2.2250738585072014e-308
+        assert len(evaluations) <= 100
+        assert kl_bernoulli(0.046, root) <= 46.0
+        assert kl_bernoulli(0.046, math.nextafter(root, 0.0)) > 46.0
+
+
 class TestInducedMeasure:
     def test_midpoint(self):
         p = mixture_point_from_uniform(0.0)

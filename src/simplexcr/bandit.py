@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimplexPoint
-from .functionals import LinearFunctional, _kl_ball_sup, _kl_root
+from .functionals import LinearFunctional, _kl_ball_sup, _kl_bernoulli_end
 from .regions import _kl_ball_offset
 
 _BENCHMARK_PMFS = (
@@ -97,7 +97,9 @@ class _KlBernoulliBounds(_MeanBounds):
         if not span > 0.0:
             return mean
         scaled = min(max((mean - lo) / span, 0.0), 1.0)
-        return lo + span * _kl_root(scaled, math.log(2.0 / delta_t) / n, edge)
+        return lo + span * _kl_bernoulli_end(
+            scaled, math.log(2.0 / delta_t) / n, edge
+        )
 
 
 class _LevelSetBounds:

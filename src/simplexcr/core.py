@@ -257,7 +257,7 @@ def kl_bernoulli(a: float, b: float) -> float:
     if a > 0.0:
         if b == 0.0:
             return float("inf")
-        s += a * math.log(a / b)
+        s += a * (math.log(a) - math.log(b))  # a / b overflows for tiny b
     if a < 1.0:
         if b == 1.0:
             return float("inf")

@@ -6,8 +6,11 @@ of the functional between adjacent grid points, giving a
 resolution-controlled outer approximation.
 Baselines for width comparisons: the closed-form Hoeffding, oracle
 sub-Gaussian and empirical Bernstein intervals, and the two-point KL
-interval, whose endpoints come from one safeguarded Newton solver. A
-second one bounds f over a KL ball, for the level-set bandit's bracket.
+interval. One safeguarded Newton solver of the finite-support KL-UCB dual
+bounds f over a KL ball: for the level-set bandit's bracket, and, as its
+k = 2 case with f = (0, 1), for the two-point KL interval. Its ends are
+dual bounds: at or outside the exact ends in exact arithmetic, and tight
+to the dual's rounding in floats.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .core import (
     SimplexGrid,
     SimplexPoint,
     composition_rank,
-    kl_bernoulli,
     log_coefficients,
     log_weights,
     simplex_size,
@@ -279,103 +281,21 @@ def empirical_bernstein_interval(
     )
 
 
-# A Newton step shorter than this many ulps has stalled on rounding noise.
-_NEWTON_STALL_ULPS = 4
-# Halvings toward edge 0 before _kl_root bisects the exponent: the lower
-# ends LUCB reads took at most 26 in 130 runs.
-_MAX_HALVINGS = 32
-
-
-def _kl_root(mean_hat: float, level: float, edge: float) -> float:
-    """The point m between mean_hat and edge (0 or 1) farthest from mean_hat
-    with KL(mean_hat, m) <= level, to within a few ulps of where rounded KL
-    crosses level.
-
-    The bracket [ok, bad] has ok feasible and bad infeasible. On each branch
-    m -> KL(mean_hat, m) is convex, so a Newton step from an infeasible
-    point stops short of the root: the iteration closes in from the
-    infeasible side, and a Newton trial that comes out feasible has met the
-    root to within rounding and is returned. A step shorter than
-    _NEWTON_STALL_ULPS ulps is lengthened to that, so near the root the
-    trial lands on the feasible side. A step is replaced by bisection when KL at bad is
-    infinite, when it would leave the bracket, and when it is longer than
-    half the previous one (Newton is not converging, as on a plateau of
-    rounded KL, which is not monotone at the scale of one ulp). Bisection
-    ends at ok once it can no longer split the bracket. Either way
-    KL(mean_hat, result) <= level holds. Toward edge 0, KL at bad = 0 is
-    infinite, so a root many binades below mean_hat (a subnormal one)
-    would cost one halving per binade: after _MAX_HALVINGS of those, the
-    bisection is of the exponent, with 2^-1075 for 0, until ok < 4 bad.
-    """
-    excess = kl_bernoulli(mean_hat, edge) - level
-    if excess <= 0.0:
-        return edge
-    ok, bad = mean_hat, edge
-    last = math.inf  # length of the previous Newton step
-    halvings = 0  # halvings toward edge 0 before any infeasible trial
-    while True:
-        exponent = halvings == _MAX_HALVINGS and ok > 4.0 * bad
-        m = math.nan
-        if math.isfinite(excess) and not exponent:
-            # excess is KL(mean_hat, bad) - level, and the slope of
-            # m -> KL(mean_hat, m) is (m - mean_hat) / (m (1 - m))
-            step = excess * bad * (1.0 - bad) / (bad - mean_hat)
-            length = max(abs(step), _NEWTON_STALL_ULPS * math.ulp(bad))
-            if length <= 0.5 * last:
-                m = bad - math.copysign(length, step)
-        newton = min(ok, bad) < m < max(ok, bad)
-        if newton:
-            last = length
-        else:
-            if exponent:
-                low = math.frexp(bad)[1] if bad > 0.0 else -1075
-                m = math.ldexp(1.0, (math.frexp(ok)[1] + low) // 2)
-            else:
-                m = 0.5 * (ok + bad)
-                halvings += bad == 0.0
-            if m == ok or m == bad:
-                return ok
-            last = math.inf
-        trial = kl_bernoulli(mean_hat, m) - level
-        if trial <= 0.0:
-            if newton:
-                return m
-            ok = m
-        else:
-            bad, excess = m, trial
-
-
 def kl_bernoulli_interval(mean_hat: float, n: int, delta: float) -> IntervalResult:
-    """All means m in [0, 1] with KL(mean_hat, m) <= log(2/delta) / n; the
-    one-entry call of kl_bernoulli_bounds_vec."""
+    """All means m in [0, 1] with KL(mean_hat, m) <= log(2/delta) / n, each
+    end the two-point KL ball's bound from _kl_bernoulli_end."""
     if not 0.0 <= mean_hat <= 1.0:
         raise ValueError(f"mean must lie in [0, 1], got {mean_hat}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    lower, upper = kl_bernoulli_bounds_vec(mean_hat, math.log(2.0 / delta) / n)
-    return IntervalResult(lower=float(lower), upper=float(upper), method="kl-bernoulli")
-
-
-def kl_bernoulli_bounds_vec(
-    mean_hats: np.ndarray, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of {m : KL(mean_hat, m) <= level} for every broadcast pair,
-    each on the feasible side of its root, by a scalar loop over the roots;
-    the bandit loop calls _kl_root itself, once per end its stop rule
-    reads."""
-    mh, lv = np.broadcast_arrays(
-        np.asarray(mean_hats, dtype=float), np.asarray(levels, dtype=float)
+    level = math.log(2.0 / delta) / n
+    return IntervalResult(
+        lower=_kl_bernoulli_end(mean_hat, level, 0.0),
+        upper=_kl_bernoulli_end(mean_hat, level, 1.0),
+        method="kl-bernoulli",
     )
-    ends = np.array(
-        [
-            (_kl_root(m, level, 0.0), _kl_root(m, level, 1.0))
-            for m, level in zip(mh.ravel().tolist(), lv.ravel().tolist())
-        ],
-        dtype=float,
-    ).reshape(mh.shape + (2,))
-    return ends[..., 0], ends[..., 1]
 
 
 # A dual Newton step shorter than this share of lambda - max f has converged.
@@ -398,10 +318,11 @@ def _kl_ball_sup(
     ``start`` (a previous offset) or from the mean plus sqrt(variance / (2
     eps)), inside [0, (wbar - a_min e^eps) / (e^eps - 1)], where g' >= 0 by
     AM-GM (a_j = max f - f_j, wbar = sum w_j a_j, a_min = the least observed
-    a_j). As in _kl_root, a step that leaves the bracket or is longer than
-    half the last one is replaced by bisection. Explicit cases: max f when
-    every observed category pays it (constant f included); g(max f) when
-    none does and g'(max f) >= 0, the boundary optimum.
+    a_j). A step that leaves the bracket or is longer than half the last
+    one is replaced by bisection. Explicit cases: max f when every observed
+    category pays it (constant f included); g(max f) when none does and
+    g'(max f) >= 0, the boundary optimum; max f, always sound, when e^eps
+    overflows.
     """
     top = max(f)
     obs = [(wj, top - fj) for wj, fj in zip(w, f) if wj > 0.0]
@@ -415,17 +336,24 @@ def _kl_ball_sup(
         log_e = s1 = s2 = 0.0
         for wj, a in obs:
             d = x + a
+            dd = d * d
             log_e += wj * math.log(d)
             s1 += wj / d
-            s2 += wj / (d * d)
+            s2 += wj / dd if dd else math.inf  # IEEE's wj / +0 on underflow
         return math.exp(log_e - eps), s1, s2
 
     if a_min > 0.0:
         e, s1, _ = dual(0.0)
         if e * s1 <= 1.0:  # g'(max f) >= 0: the boundary optimum
             return top - e, 0.0
-    lo, hi = 0.0, (wbar - a_min * math.exp(eps)) / math.expm1(eps)
-    if not hi > 0.0:  # no room left by rounding: max f is always sound
+    try:
+        growth = math.exp(eps)
+    except OverflowError:
+        return top, 0.0
+    lo, hi = 0.0, (wbar - a_min * growth) / math.expm1(eps)
+    # no room left by rounding, or, when a_min = 0 makes log(x + a_min) at
+    # x = 0 infinite, no float inside the bracket: max f is always sound
+    if not hi > 0.0 or (a_min == 0.0 and 0.5 * hi == 0.0):
         return top, 0.0
     if start is not None and lo < start < hi:
         x = start
@@ -451,6 +379,41 @@ def _kl_ball_sup(
             if nxt == lo or nxt == hi:
                 return top + x - e, x
         x = nxt
+
+
+# Below this level the dual cannot resolve eps against the rounding of its
+# exponent's log terms, about 2^-53 |log x| at x ~ sqrt(m (1 - m) / (2
+# level)): at 1e-14 an end errs by up to about a tenth of its distance from
+# the mean, below 1e-15 it can cross the mean. The ball at a larger level
+# holds the smaller ball, so the floor's ends are outer ends.
+_KL_LEVEL_FLOOR = 1e-14
+
+
+def _kl_bernoulli_end(mean_hat: float, level: float, edge: float) -> float:
+    """The end toward edge 0 or 1 of {m : KL(mean_hat, m) <= level}: the
+    two-category KL ball with weights (1 - mean_hat, mean_hat), bounded
+    over payoff (0, 1) for edge 1 and (-0, -1) for edge 0, at a level of at
+    least _KL_LEVEL_FLOOR. By weak duality the end lies at or outside the
+    exact one in exact arithmetic; in floats it is tight to the dual's
+    rounding. The ball holds its centre, so the end is clamped to its side
+    of mean_hat, which rounding can cross when mean_hat is subnormal.
+
+    The solve is cold, from the dual point of the second-order end: with
+    weight c on the category that pays max f, the optimum gives that
+    category mass q > c at offset c (1 - q) / (q - c), and q is about c +
+    sqrt(2 level c (1 - c)). On the ends a LUCB run asks for, this start
+    takes about 4.6 dual steps against 6.8 from _kl_ball_sup's own start,
+    which falls outside the bracket for half of them."""
+    w = [1.0 - mean_hat, mean_hat]
+    level = max(level, _KL_LEVEL_FLOOR)
+    c = w[1] if edge else w[0]
+    d = math.sqrt(2.0 * level * c * (1.0 - c))
+    start = c * (1.0 - c - d) / d if d else None
+    if edge:
+        sup = _kl_ball_sup([0.0, 1.0], w, level, start)[0]
+        return min(1.0, max(mean_hat, sup))
+    sup = _kl_ball_sup([-0.0, -1.0], w, level, start)[0]
+    return max(0.0, min(mean_hat, -sup))
 
 
 def mixture_point_from_uniform(u: float) -> SimplexPoint:

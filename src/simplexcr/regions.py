@@ -204,36 +204,27 @@ def outer_bound_reject(
     return 2.0 * k * math.log(n + 1) - n * div <= math.log(delta)
 
 
-def sanov_refined_valid(k: int, n: int) -> bool:
-    """Whether the sharpened KL concentration constant applies at (k, n)."""
-    return k <= math.e * (n / (8.0 * math.pi)) ** (1.0 / 3.0)
-
-
-def sanov_threshold(k: int, n: int, delta: float, refined: bool = True) -> float:
-    """KL radius of the Sanov-type region. The refined form uses the
-    sharpened constant 2(k-1) exp(-nz/(k-1)); the fallback inverts the
-    generic (n+1)^k exp(-nz) bound and is valid for every (k, n)."""
+def sanov_threshold(k: int, n: int, delta: float) -> float:
+    """KL radius of the Sanov-type region, from the sharpened concentration
+    constant 2(k-1) exp(-nz/(k-1))."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if refined:
-        if k == 1:
-            return 0.0
-        return (k - 1) * math.log(2.0 * (k - 1) / delta) / n
-    return (k * math.log(n + 1) - math.log(delta)) / n
+    if k == 1:
+        return 0.0
+    return (k - 1) * math.log(2.0 * (k - 1) / delta) / n
 
 
 def sanov_membership(
     p: SimplexPoint,
     phat: EmpiricalDistribution,
     delta: float,
-    refined: bool = True,
 ) -> bool:
     """True iff KL(phat, p) is within the Sanov-type radius."""
     if phat.k != p.k:
         raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    thr = sanov_threshold(phat.k, phat.n, delta, refined=refined)
+    thr = sanov_threshold(phat.k, phat.n, delta)
     return kl_divergence(phat.as_point(), p) <= thr
 
 
@@ -416,9 +407,8 @@ def sanov_membership_grid(
     phat: EmpiricalDistribution,
     delta: float,
     points: np.ndarray,
-    refined: bool = True,
 ) -> np.ndarray:
-    thr = sanov_threshold(phat.k, phat.n, delta, refined=refined)
+    thr = sanov_threshold(phat.k, phat.n, delta)
     return kl_to_many(phat.as_point().as_array(), np.asarray(points, float)) <= thr
 
 

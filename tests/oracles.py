@@ -6,8 +6,10 @@ endpoints, a lexsort with a per-run re-sort for the probability ordering,
 and the level-set grid kernel with its KL outer-bound prune. These stay
 deliberately separate from the library's arithmetic outcome table, its
 log-space code paths, its Newton KL-bound solver, its run-key ordering
-and its phat-mass prune. The whole-array Hoeffding and kl-bernoulli LUCB
-endpoints are the references for the bandit's per-arm formulas."""
+and its phat-mass prune. The whole-array Hoeffding and bisection
+kl-bernoulli LUCB endpoints are the references for the bandit's per-arm
+formulas; ``kl_end_allowance`` is how far the dual's two-point KL end
+may stray from the bisection's on rounding alone."""
 from __future__ import annotations
 
 import math
@@ -27,7 +29,7 @@ from simplexcr.core import (
     log_coefficients,
     log_weights,
 )
-from simplexcr.functionals import kl_bernoulli_bounds_vec
+from simplexcr.functionals import _kl_ball_sup
 from simplexcr.regions import _BATCH_ENTRIES
 
 
@@ -157,16 +159,22 @@ def hoeffding_arm_bounds(los, spans, means, ns, delta_t):
 
 
 def kl_bernoulli_arm_bounds(los, spans, means, ns, delta_t):
-    """Every arm's two-point KL (lcb, ucb) at once: the means scaled to [0,
-    1], both roots from kl_bernoulli_bounds_vec, scaled back; a zero span's
-    ends are its mean."""
+    """Every arm's two-point KL (lcb, ucb) at once, and the scaled means and
+    levels behind them: the means scaled to [0, 1], both ends from
+    kl_bernoulli_bounds_bisection, scaled back; a zero span's ends are its
+    mean."""
     span = np.where(spans > 0.0, spans, 1.0)
     scaled = np.clip((means - los) / span, 0.0, 1.0)
     levels = math.log(2.0 / delta_t) / ns
-    lo_s, hi_s = kl_bernoulli_bounds_vec(scaled, levels)
+    lo_s, hi_s = kl_bernoulli_bounds_bisection(scaled, levels)
     lcb = los + spans * lo_s
     ucb = los + spans * hi_s
-    return np.where(spans > 0.0, lcb, means), np.where(spans > 0.0, ucb, means)
+    return (
+        np.where(spans > 0.0, lcb, means),
+        np.where(spans > 0.0, ucb, means),
+        scaled,
+        levels,
+    )
 
 
 def kl_bernoulli_bounds_bisection(mean_hats, levels):
@@ -191,6 +199,59 @@ def kl_bernoulli_bounds_bisection(mean_hats, levels):
     lower = np.where(done_lo, 0.0, lo_hi)
     upper = np.where(done_hi, 1.0, hi_lo)
     return lower, upper
+
+
+def _kl_rounding(mean_hat: float, m: float) -> float:
+    """Scale of the absolute rounding error of KL(mean_hat, m) as computed
+    by core.kl_bernoulli or core.kl_bernoulli_many: each term's logarithms
+    carry about one ulp of their size."""
+    s = 0.0
+    if mean_hat > 0.0:
+        s += mean_hat * (1.0 + abs(math.log(mean_hat)) + abs(math.log(m)))
+    if mean_hat < 1.0:
+        s += (1.0 - mean_hat) * (
+            1.0 + abs(math.log1p(-mean_hat)) + abs(math.log1p(-m))
+        )
+    return 2.0**-52 * s
+
+
+def _kl_slope(mean_hat: float, m: float) -> float:
+    return abs(m - mean_hat) / (m * (1.0 - m))
+
+
+def kl_end_allowance(
+    mean_hat: float, level: float, edge: float, end: float, ref: float
+) -> float:
+    """How far apart rounding alone may set two ends toward ``edge`` of {m :
+    KL(mean_hat, m) <= level}, the dual solver's ``end`` and the
+    bisection's ``ref``, as the sum of two terms.
+
+    The bisection's: four times the distance over which KL's rounding error
+    can move the root, taken from whichever of the two ends lie strictly
+    inside (0, 1) and off mean_hat (KL's slope is 0 at mean_hat; it and
+    KL's logarithms are infinite at the edges). At small levels the root is
+    ill-conditioned: KL's rounding error of about 1e-16 meets a slope of
+    about sqrt(2 level / (m (1 - m))), so this term passes 1e-14 below
+    level ~2.5e-5 and nears 1e-8 at level 1e-14.
+
+    The dual's: the end is top + x - E at the dual offset x, with E = exp(w0
+    log(x + a0) + w1 log(x + a1) - level) at most about 1 + x, and E's
+    relative error is about 2^-52 times the size of its exponent's terms;
+    four times that. At small levels x grows as sqrt(m (1 - m) / (2
+    level)), so this term grows like the first.
+    """
+    inner = [m for m in (end, ref) if 0.0 < m < 1.0 and m != mean_hat]
+    kl_term = 0.0
+    if inner:
+        slope = min(_kl_slope(mean_hat, m) for m in inner)
+        kl_term = 4.0 * sum(_kl_rounding(mean_hat, m) for m in inner) / slope
+    w = [1.0 - mean_hat, mean_hat]
+    _, x = _kl_ball_sup([0.0, 1.0] if edge else [-0.0, -1.0], w, level)
+    w_top = w[1] if edge else w[0]  # the weight of the category with a = 0
+    logs = (1.0 - w_top) * math.log1p(x)
+    if x > 0.0:
+        logs += w_top * abs(math.log(x))
+    return kl_term + 4.0 * 2.0**-52 * (1.0 + x) * (1.0 + level + logs)
 
 
 def probability_ordering_lexsort(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:

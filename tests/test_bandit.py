@@ -15,13 +15,14 @@ from simplexcr import (
 )
 from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
-from simplexcr.functionals import _kl_ball_sup, _kl_root
+from simplexcr.functionals import _kl_ball_sup, _kl_bernoulli_end
 from simplexcr.regions import kl_ball_radius
 
 from oracles import (
     hoeffding_arm_bounds,
     kl_bernoulli_arm_bounds,
     kl_bernoulli_bounds_bisection,
+    kl_end_allowance,
 )
 
 
@@ -295,7 +296,8 @@ class TestKlBallSup:
         w, eps = [0.7, 0.3], 0.05
         bound, x = _kl_ball_sup([0.0, 1.0], w, eps)
         assert x > 0.0
-        assert bound == pytest.approx(_kl_root(0.3, eps, 1.0), abs=1e-12)
+        _, ref = kl_bernoulli_bounds_bisection(0.3, eps)
+        assert bound == pytest.approx(float(ref), abs=1e-12)
 
     def test_all_mass_on_top_category(self):
         assert _kl_ball_sup([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], 3.0) == (1.0, 0.0)
@@ -338,19 +340,19 @@ class TestKlBallSup:
 
 class TestKlSolver:
     def test_runs_equal_under_bisection_oracle(self, monkeypatch):
-        """The Newton KL-bound solver and the 64-step bisection it replaced
-        give the same kl-bernoulli LUCB runs (500-600 rounds each). The
-        bisection's scalar stand-in for _kl_root looks its ends up in one
-        array call over every root the Newton runs asked for, and calls the
-        bisection for any other root."""
+        """The KL-ball dual solver and the 64-step bisection give the same
+        kl-bernoulli LUCB runs (500-600 rounds each). The bisection's scalar
+        stand-in for _kl_bernoulli_end looks its ends up in one array call
+        over every end the dual runs asked for, and calls the bisection for
+        any other end."""
         arms = benchmark_arms()
         asked = []
 
         def recording(mean_hat, level, edge):
             asked.append((mean_hat, level, edge))
-            return _kl_root(mean_hat, level, edge)
+            return _kl_bernoulli_end(mean_hat, level, edge)
 
-        monkeypatch.setattr(bandit, "_kl_root", recording)
+        monkeypatch.setattr(bandit, "_kl_bernoulli_end", recording)
         runs = [lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=s) for s in range(5)]
         mean_hats, levels, edges = (np.array(x) for x in zip(*asked))
         lower, upper = kl_bernoulli_bounds_bisection(mean_hats, levels)
@@ -363,7 +365,7 @@ class TestKlSolver:
                 table[key] = float(ends[edge == 1.0])
             return table[key]
 
-        monkeypatch.setattr(bandit, "_kl_root", bisection_root)
+        monkeypatch.setattr(bandit, "_kl_bernoulli_end", bisection_root)
         for seed, run in enumerate(runs):
             assert lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=seed) == run
 
@@ -415,20 +417,38 @@ def arm_rounds(draw):
 @given(arm_rounds())
 @example((benchmark_arms(), [0.6, 0.0, 1.0, 0.25, 0.5], [1, 2, 3, 40, 500], 0.005))
 def test_per_arm_ends_match_whole_array_formulas(case):
-    """Each arm's lower and upper end from the Hoeffding and kl-bernoulli
-    bounds objects is, bit for bit, that arm's entry of the whole-array
-    formula over every arm."""
+    """Each arm's lower and upper Hoeffding end is, bit for bit, that arm's
+    entry of the whole-array formula over every arm. Each kl-bernoulli end
+    lies within the rounding allowance, scaled to the payoff range, of the
+    bisection's end over every arm, and a constant payoff's ends are its
+    mean."""
     arms, means, ns, delta_t = case
     los = np.array([arm.values.value_range[0] for arm in arms])
     spans = np.array([arm.values.value_range[1] for arm in arms]) - los
     means_a, ns_a = np.array(means), np.array(ns, dtype=float)
-    for cls, oracle in (
-        (_HoeffdingBounds, hoeffding_arm_bounds),
-        (_KlBernoulliBounds, kl_bernoulli_arm_bounds),
-    ):
-        lcb, ucb = oracle(los, spans, means_a, ns_a, delta_t)
-        bounds = cls(arms)
-        for a in range(len(arms)):
-            args = (a, None, means[a], ns[a], delta_t)
-            assert np.float64(bounds.lower(*args)).tobytes() == lcb[a].tobytes()
-            assert np.float64(bounds.upper(*args)).tobytes() == ucb[a].tobytes()
+    args = [(a, None, means[a], ns[a], delta_t) for a in range(len(arms))]
+
+    lcb, ucb = hoeffding_arm_bounds(los, spans, means_a, ns_a, delta_t)
+    bounds = _HoeffdingBounds(arms)
+    for a in range(len(arms)):
+        assert np.float64(bounds.lower(*args[a])).tobytes() == lcb[a].tobytes()
+        assert np.float64(bounds.upper(*args[a])).tobytes() == ucb[a].tobytes()
+
+    lcb, ucb, scaled, levels = kl_bernoulli_arm_bounds(
+        los, spans, means_a, ns_a, delta_t
+    )
+    bounds = _KlBernoulliBounds(arms)
+    for a in range(len(arms)):
+        lo, span = float(los[a]), float(spans[a])
+        ends = (bounds.lower(*args[a]), bounds.upper(*args[a]))
+        for edge, end, ref in zip((0.0, 1.0), ends, (lcb[a], ucb[a])):
+            if span == 0.0:
+                assert end == means[a] == ref
+                continue
+            end_s = min(max((end - lo) / span, 0.0), 1.0)
+            ref_s = min(max((ref - lo) / span, 0.0), 1.0)
+            allowance = 1e-14 + kl_end_allowance(
+                float(scaled[a]), float(levels[a]), edge, end_s, ref_s
+            )
+            # the scaling back, lo + span * end, rounds in each
+            assert abs(end - ref) <= span * allowance + 2.0**-50 * (abs(lo) + span)

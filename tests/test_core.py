@@ -20,6 +20,7 @@ from simplexcr.core import (
     composition_rank,
     compositions_array,
     kahan_cumsum,
+    kl_bernoulli_many,
     log_coefficients,
     log_pmf_array,
 )
@@ -247,6 +248,15 @@ class TestKlBernoulli:
             kl_bernoulli(1.2, 0.5)
         with pytest.raises(ValueError):
             kl_bernoulli(0.5, -0.1)
+
+    def test_subnormal_second_argument_stays_finite(self):
+        """a / b overflows for b below about a / 1.8e308; log a - log b does
+        not, and KL(0.046, 5e-324) is about 34."""
+        got = kl_bernoulli(0.046, 5e-324)
+        want = kl_bernoulli_many(np.array([0.046]), np.array([[5e-324]]))[0, 0]
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-15)
+        assert 34.0 < got < 34.1
 
     def test_infinite_cases(self):
         assert kl_bernoulli(0.3, 0.0) == float("inf")

@@ -31,7 +31,7 @@ from simplexcr.core import (
     log_weights,
     simplex_size,
 )
-from simplexcr.functionals import IntervalResult, kl_bernoulli_bounds_vec
+from simplexcr.functionals import IntervalResult
 from simplexcr.regions import membership_grid, phat_mass_survivors
 
 MEAN3 = LinearFunctional((0.0, 0.5, 1.0))
@@ -395,37 +395,6 @@ class TestKlBernoulliInterval:
                 assert iv.width < w_prev
             w_prev = iv.width
         assert w_prev < 0.03
-
-    def test_vectorized_matches_scalar(self):
-        mh = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
-        ns = np.array([5.0, 10.0, 20.0, 50.0, 7.0])
-        levels = np.log(2.0 / 0.3) / ns
-        lo, hi = kl_bernoulli_bounds_vec(mh, levels)
-        for m, n, l, h in zip(mh, ns, lo, hi):
-            iv = kl_bernoulli_interval(float(m), int(n), 0.3)
-            assert l == pytest.approx(iv.lower, abs=1e-9)
-            assert h == pytest.approx(iv.upper, abs=1e-9)
-
-
-    def test_subnormal_lower_root_takes_few_evaluations(self, monkeypatch):
-        """The lower end at mean_hat 0.046 and level 46 is a subnormal float,
-        2.6e-310, about 1,030 binades below mean_hat: one halving per binade
-        took about 1,070 KL evaluations. Bisecting the exponent instead
-        takes at most 100 and still returns the last feasible float."""
-        from simplexcr import functionals
-
-        evaluations = []
-
-        def counting(a, b):
-            evaluations.append(b)
-            return kl_bernoulli(a, b)
-
-        monkeypatch.setattr(functionals, "kl_bernoulli", counting)
-        root = functionals._kl_root(0.046, 46.0, 0.0)
-        assert 0.0 < root < 2.2250738585072014e-308
-        assert len(evaluations) <= 100
-        assert kl_bernoulli(0.046, root) <= 46.0
-        assert kl_bernoulli(0.046, math.nextafter(root, 0.0)) > 46.0
 
 
 class TestInducedMeasure:

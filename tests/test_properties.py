@@ -20,7 +20,6 @@ from simplexcr.core import (
     SimplexGrid,
     composition_rank,
     compositions_array,
-    kl_bernoulli,
     kl_to_many,
     log_coefficients,
     log_weights,
@@ -28,9 +27,10 @@ from simplexcr.core import (
     simplex_size,
 )
 from simplexcr.functionals import (
+    _KL_LEVEL_FLOOR,
     _kl_ball_sup,
+    _kl_bernoulli_end,
     hoeffding_interval,
-    kl_bernoulli_bounds_vec,
     kl_bernoulli_interval,
 )
 from simplexcr.regions import (
@@ -42,6 +42,7 @@ from simplexcr.regions import (
 
 from oracles import (
     kl_bernoulli_bounds_bisection,
+    kl_end_allowance,
     levelset_membership_grid_kl_prune,
     probability_ordering_lexsort,
 )
@@ -264,6 +265,7 @@ def bernoulli_cases(draw):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(bernoulli_cases())
+@example((0.5, 1, 1e-310))  # 2 / delta overflows: the level is inf
 def test_kl_interval_inside_hoeffding_interval(case):
     """Pinsker's inequality, KL(a, b) >= 2 (a - b)^2, puts the two-point KL
     interval inside the Hoeffding interval at the same n and delta."""
@@ -317,24 +319,6 @@ def mean_hats():
     )
 
 
-def _kl_rounding(mean_hat: float, m: float) -> float:
-    """Scale of the absolute rounding error of KL(mean_hat, m) as computed
-    by core.kl_bernoulli or core.kl_bernoulli_many: each term's logarithms
-    carry about one ulp of their size."""
-    s = 0.0
-    if mean_hat > 0.0:
-        s += mean_hat * (1.0 + abs(math.log(mean_hat)) + abs(math.log(m)))
-    if mean_hat < 1.0:
-        s += (1.0 - mean_hat) * (
-            1.0 + abs(math.log1p(-mean_hat)) + abs(math.log1p(-m))
-        )
-    return 2.0**-52 * s
-
-
-def _kl_slope(mean_hat: float, m: float) -> float:
-    return abs(m - mean_hat) / (m * (1.0 - m))
-
-
 def kl_levels():
     """Levels from 1e-14 to 50, log-uniform."""
     return st.floats(-14.0, math.log10(50.0)).map(lambda e: 10.0**e)
@@ -342,29 +326,51 @@ def kl_levels():
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.tuples(mean_hats(), kl_levels()), min_size=1, max_size=6))
+@example([(0.9921875, math.log(20.0))])  # d * d underflows in the dual
+@example([(0.046, 46.0)])  # the lower end is below the least subnormal
+@example([(5e-324, 1.0)])  # no float inside the dual's bracket
+@example([(5e-324, 1e-14)])  # rounding puts the dual's lower end above m
+@example([(0.5, 800.0)])  # e^eps overflows
 def test_kl_bounds_feasible_and_match_bisection(pairs):
-    """Every endpoint of the Newton solver is feasible by core.kl_bernoulli,
-    brackets the sample mean, is 0 or 1 exactly when the 64-step bisection's
-    is, and lies within 1e-14 of the bisection's endpoint plus four times
-    the distance over which KL's rounding error can move the root. At small
-    levels the root is ill-conditioned: KL's rounding error of about 1e-16
-    meets a slope of about sqrt(2 level / (m (1 - m))), so the two methods,
-    each exact on its own rounded KL, part by more than 1e-14 below level
-    ~2.5e-5 and by up to ~5e-10 at level 1e-14."""
-    mh = np.array([m for m, _ in pairs])
-    levels = np.array([level for _, level in pairs])
-    lower, upper = kl_bernoulli_bounds_vec(mh, levels)
-    ref_lower, ref_upper = kl_bernoulli_bounds_bisection(mh, levels)
-    for m, level, lo, hi, ref_lo, ref_hi in zip(
-        mh.tolist(), levels.tolist(), lower.tolist(), upper.tolist(),
-        ref_lower.tolist(), ref_upper.tolist(),
-    ):
+    """Every end of the two-point KL ball brackets the sample mean and lies
+    within 1e-14 plus kl_end_allowance of the 64-step bisection's end. The
+    dual's ends lie at or outside the exact ones up to rounding: none lies
+    inside the bisection's feasible end by more than kl_end_allowance."""
+    for m, level in pairs:
+        ref_lo, ref_hi = (float(r) for r in kl_bernoulli_bounds_bisection(m, level))
+        lo = _kl_bernoulli_end(m, level, 0.0)
+        hi = _kl_bernoulli_end(m, level, 1.0)
         assert lo <= m <= hi
-        for end, ref in ((lo, ref_lo), (hi, ref_hi)):
-            assert kl_bernoulli(m, end) <= level
-            assert (end in (0.0, 1.0)) == (ref in (0.0, 1.0))
-            if end == ref:
-                continue
-            slope = min(_kl_slope(m, end), _kl_slope(m, ref))
-            allowance = 4.0 * (_kl_rounding(m, end) + _kl_rounding(m, ref)) / slope
+        for edge, end, ref in ((0.0, lo, ref_lo), (1.0, hi, ref_hi)):
+            allowance = kl_end_allowance(m, level, edge, end, ref)
             assert abs(end - ref) <= 1e-14 + allowance
+            inward = ref - end if edge else end - ref
+            assert inward <= allowance
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    bernoulli_cases(),
+    st.one_of(st.integers(1, 10**6), st.integers(1, 10**300)),
+    st.floats(0.0, 320.0).map(lambda e: 0.999 * 10.0**-e),
+)
+@example((0.9921875, 1, 0.1), 1, 0.1)
+@example((0.5, 1, 1e-310), 1, 1e-310)
+@example((5e-324, 1, 0.5), 10**15, 0.999)
+@example((0.5, 1, 0.5), 10**300, 0.5)  # a level far below the floor
+def test_kl_interval_ends_match_bisection(case, n, delta):
+    """kl_bernoulli_interval raises nothing for a mean in [0, 1], n >= 1 and
+    delta in (0, 1), subnormal delta and an overflowing 2 / delta included.
+    Each end lies within 1e-14 plus kl_end_allowance of the bisection's end
+    at level log(2 / delta) / n raised to the solver's floor, and not inside
+    it by more than kl_end_allowance. The ball at the floor holds the ball
+    at any smaller level, so its ends are outer ends there."""
+    mean_hat = case[0]
+    iv = kl_bernoulli_interval(mean_hat, n, delta)
+    assert iv.lower <= mean_hat <= iv.upper
+    level = max(math.log(2.0 / delta) / n, _KL_LEVEL_FLOOR)
+    refs = (float(r) for r in kl_bernoulli_bounds_bisection(mean_hat, level))
+    for edge, end, ref in zip((0.0, 1.0), (iv.lower, iv.upper), refs):
+        allowance = kl_end_allowance(mean_hat, level, edge, end, ref)
+        assert abs(end - ref) <= 1e-14 + allowance
+        assert (ref - end if edge else end - ref) <= allowance

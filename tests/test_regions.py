@@ -24,7 +24,6 @@ from simplexcr import (
     polytope_membership,
     region_membership,
     sanov_membership,
-    sanov_refined_valid,
     sanov_threshold,
 )
 from simplexcr.core import LOG_TIE_TOL, compositions_array, log_pmf_array
@@ -308,16 +307,6 @@ class TestSanov:
         assert sanov_threshold(3, 15, 0.7) == pytest.approx(
             2.0 * math.log(4.0 / 0.7) / 15.0, abs=1e-15
         )
-
-    def test_fallback_threshold_value(self):
-        assert sanov_threshold(3, 15, 0.7, refined=False) == pytest.approx(
-            (3.0 * math.log(16.0) - math.log(0.7)) / 15.0, abs=1e-15
-        )
-
-    def test_validity_condition(self):
-        assert not sanov_refined_valid(3, 15)  # e * (15/8pi)^(1/3) ~ 2.29
-        assert sanov_refined_valid(2, 15)
-        assert sanov_refined_valid(3, 50)
 
     def test_membership_uses_kl(self):
         phat = EmpiricalDistribution((6, 6, 3))

@@ -7,9 +7,6 @@ from .core import (
     SimplexGrid,
     SimplexPoint,
     enumerate_simplex,
-    kl_bernoulli,
-    kl_divergence,
-    log_pmf,
     simplex_size,
 )
 from .functionals import (
@@ -29,13 +26,9 @@ from .regions import (
     CoveringCollection,
     RegionSpec,
     covering_collection,
-    level_set_membership_via_pvalue,
     member_of_covering,
-    outer_bound_reject,
     p_value,
-    polytope_membership,
     region_membership,
-    sanov_membership,
     sanov_threshold,
 )
 from .volume import (
@@ -71,21 +64,14 @@ __all__ = [
     "functional_interval",
     "hoeffding_interval",
     "induced_measure_sampler",
-    "kl_bernoulli",
     "kl_bernoulli_interval",
-    "kl_divergence",
-    "level_set_membership_via_pvalue",
-    "log_pmf",
     "lucb_run",
     "member_of_covering",
     "mixture_point_from_uniform",
     "oracle_chernoff_interval",
-    "outer_bound_reject",
     "p_value",
-    "polytope_membership",
     "region_membership",
     "region_volume",
-    "sanov_membership",
     "sanov_threshold",
     "simplex_size",
     "uniform_prior_expected_volume",

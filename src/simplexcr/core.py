@@ -10,7 +10,6 @@ import math
 import sys
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln
@@ -157,16 +156,10 @@ def log_coefficients(k: int, n: int) -> np.ndarray:
     """Log multinomial coefficients log(n! / prod c_j!) of the rows of
     ``compositions_array(k, n)``, in the same order, as a read-only array.
     Cached; callers must not modify."""
-    out = _log_coefficients(compositions_array(k, n))
+    lg = gammaln(np.arange(n + 2))
+    out = lg[n + 1] - lg[compositions_array(k, n) + 1].sum(axis=1)
     out.setflags(write=False)
     return out
-
-
-def _log_coefficients(counts: np.ndarray) -> np.ndarray:
-    """log(n! / prod c_j!) per count row, n its row sum, via a gammaln table."""
-    n = counts.sum(axis=1)
-    lg = gammaln(np.arange(n.max(initial=0) + 2))
-    return lg[n + 1] - lg[counts + 1].sum(axis=1)
 
 
 def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
@@ -182,39 +175,11 @@ def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
     return [EmpiricalDistribution(tuple(r)) for r in rows]
 
 
-def log_pmf(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
-    """Natural log of the multinomial probability of observing ``phat``
-    under parameter ``p``. Exactly -inf when some positive count sits on a
-    zero-probability category; zero counts contribute nothing."""
-    if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} counts vs {p.k} probabilities")
-    n = phat.n
-    s = math.lgamma(n + 1) - math.fsum(math.lgamma(c + 1) for c in phat.counts)
-    for c, x in zip(phat.counts, p.probs):
-        if c == 0:
-            continue
-        if x == 0.0:
-            return float("-inf")
-        s += c * math.log(x)
-    return s
-
-
-def log_pmf_array(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Vectorized multinomial log-pmf of many count rows under one p.
-
-    Rows with a positive count on a zero-probability category come back
-    as exactly -inf.
-    """
-    counts = np.asarray(counts)
-    p = np.asarray(probs, dtype=float)
-    if counts.shape[1] != p.shape[0]:
-        raise ValueError("dimension mismatch between counts and probabilities")
-    return _finite_to_inf(_log_coefficients(counts) + counts @ log_weights(p))
-
-
 def outcome_log_pmf(k: int, n: int, probs: np.ndarray) -> np.ndarray:
-    """log_pmf_array over every row of ``compositions_array(k, n)``, with
-    the coefficients read from the cached ``log_coefficients`` table."""
+    """Multinomial log-pmf of every row of ``compositions_array(k, n)``
+    under one p, with the coefficients read from the cached
+    ``log_coefficients`` table. Rows with a positive count on a
+    zero-probability category come back as exactly -inf."""
     counts = compositions_array(k, n)
     return _finite_to_inf(log_coefficients(k, n) + counts @ log_weights(probs))
 
@@ -228,41 +193,6 @@ def log_weights(probs: np.ndarray) -> np.ndarray:
 
 def _finite_to_inf(logp: np.ndarray) -> np.ndarray:
     return np.where(logp <= _LOG_ZERO / 2, -np.inf, logp)
-
-
-def kl_divergence(p: SimplexPoint, q: SimplexPoint) -> float:
-    """KL(p, q) in nats with the 0 log 0 = 0 convention; +inf when p puts
-    mass where q has none."""
-    if p.k != q.k:
-        raise ValueError(f"dimension mismatch: {p.k} vs {q.k}")
-    if p.probs == q.probs:
-        return 0.0
-    terms = []
-    for a, b in zip(p.probs, q.probs):
-        if a == 0.0:
-            continue
-        if b == 0.0:
-            return float("inf")
-        terms.append(a * math.log(a / b))
-    return max(0.0, math.fsum(terms))
-
-
-def kl_bernoulli(a: float, b: float) -> float:
-    """Two-point KL divergence between Bernoulli(a) and Bernoulli(b)."""
-    if not (0.0 <= a <= 1.0) or not (0.0 <= b <= 1.0):
-        raise ValueError(f"arguments must lie in [0, 1], got {a}, {b}")
-    if a == b:
-        return 0.0
-    s = 0.0
-    if a > 0.0:
-        if b == 0.0:
-            return float("inf")
-        s += a * (math.log(a) - math.log(b))  # a / b overflows for tiny b
-    if a < 1.0:
-        if b == 1.0:
-            return float("inf")
-        s += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
-    return max(0.0, s)
 
 
 def kl_to_many(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -334,7 +264,3 @@ class SimplexGrid:
     def points(self) -> np.ndarray:
         """Read-only (len, k) array of grid points."""
         return _grid_points(self.k, self.resolution)
-
-    def __iter__(self) -> Iterator[SimplexPoint]:
-        for row in self.points:
-            yield SimplexPoint(tuple(row))

@@ -130,8 +130,10 @@ def functional_interval(
     greatest member value. For the level-set kind only the points that
     survive ``phat_mass_survivors`` over the whole grid are walked: a
     pruned point is a proven non-member, so the first member from each end
-    is the same. Membership is decided per point, whatever the chunk, so
-    the interval is the one a scan of the whole grid gives. For
+    is the same. Membership is decided per point, so the interval is the
+    one a scan of the whole grid gives, up to the rounding of the kernel's
+    matrix product, which can depend on the chunk's size: at a point within
+    that rounding of the region's boundary the two scans can differ. For
     k > 3 dense grids are infeasible and the scan tests all ``mc_draws``
     uniform Dirichlet proposals instead (``seed`` required); the member
     fraction is reported as ``scan_coverage``.

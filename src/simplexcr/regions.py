@@ -4,8 +4,9 @@ The central object is the probability-ordered covering collection: the
 shortest prefix of outcomes, sorted by probability under p, whose mass
 reaches 1 - delta. Inverting that collection gives the minimal
 average-volume confidence region; KL-based Sanov and per-marginal polytope
-regions are provided as baselines, together with the exact p-value and
-the sound KL outer-bound rejection test. Level-set membership over many
+regions are provided as baselines, together with the exact p-value. Each
+region has one membership path, membership_grid; the scalar
+region_membership is its one-row case. Level-set membership over many
 points is pruned by a bound on phat's own mass, written once in
 phat_mass_survivors: the kernel, levelset_membership_grid, prunes its
 points with it, and functionals.functional_interval prunes its whole scan
@@ -28,9 +29,7 @@ from .core import (
     composition_rank,
     compositions_array,
     kahan_cumsum,
-    kl_bernoulli,
     kl_bernoulli_many,
-    kl_divergence,
     kl_to_many,
     log_coefficients,
     log_weights,
@@ -161,7 +160,12 @@ def member_of_covering(
 
 def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     """Exact p-value of phat under p: total probability of phat and every
-    outcome no more probable than it (ties resolved within LOG_TIE_TOL)."""
+    outcome no more probable than it (ties resolved within LOG_TIE_TOL).
+
+    The rule p_value(phat, p) > delta differs from member_of_covering only
+    when 1 - delta falls strictly inside phat's probability-tie class,
+    where the prefix rule splits a tie class that the p-value keeps whole.
+    """
     if phat.k != p.k:
         raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
     logp = outcome_log_pmf(p.k, phat.n, p.as_array())
@@ -170,38 +174,6 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     if bool(include.all()):
         return 1.0  # no outcome is more probable; the sum is exactly total mass
     return min(1.0, math.fsum(np.exp(logp[include])))
-
-
-def level_set_membership_via_pvalue(
-    p: SimplexPoint, phat: EmpiricalDistribution, delta: float
-) -> bool:
-    """Membership through the p-value characterization: p is kept iff the
-    p-value of phat under p exceeds delta.
-
-    Differs from member_of_covering only when 1 - delta falls strictly
-    inside phat's probability-tie class, where the prefix rule splits a tie
-    class that the p-value rule keeps whole.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return p_value(phat, p) > delta
-
-
-def outer_bound_reject(
-    phat: EmpiricalDistribution, p: SimplexPoint, delta: float
-) -> bool:
-    """Sound rejection test: true only when the method-of-types bound
-    (n+1)^(2k) exp(-n KL(phat, p)) is at most delta, which forces the exact
-    p-value at or below delta. Evaluated in log space."""
-    if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    n, k = phat.n, phat.k
-    if n == 0:
-        return False
-    div = kl_divergence(phat.as_point(), p)
-    if math.isinf(div):
-        return True
-    return 2.0 * k * math.log(n + 1) - n * div <= math.log(delta)
 
 
 def sanov_threshold(k: int, n: int, delta: float) -> float:
@@ -216,18 +188,6 @@ def sanov_threshold(k: int, n: int, delta: float) -> float:
     return (k - 1) * math.log(2.0 * (k - 1) / delta) / n
 
 
-def sanov_membership(
-    p: SimplexPoint,
-    phat: EmpiricalDistribution,
-    delta: float,
-) -> bool:
-    """True iff KL(phat, p) is within the Sanov-type radius."""
-    if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    thr = sanov_threshold(phat.k, phat.n, delta)
-    return kl_divergence(phat.as_point(), p) <= thr
-
-
 def polytope_threshold(k: int, n: int, delta: float) -> float:
     """Per-marginal KL radius after splitting delta/k across coordinates."""
     if not 0.0 < delta < 1.0:
@@ -235,19 +195,6 @@ def polytope_threshold(k: int, n: int, delta: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.log(2.0 * k / delta) / n
-
-
-def polytope_membership(
-    p: SimplexPoint, phat: EmpiricalDistribution, delta: float
-) -> bool:
-    """True iff every marginal passes its two-point KL test."""
-    if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
-    n = phat.n
-    thr = polytope_threshold(phat.k, n, delta)
-    return all(
-        kl_bernoulli(c / n, x) <= thr for c, x in zip(phat.counts, p.probs)
-    )
 
 
 def region_membership(
@@ -329,6 +276,12 @@ def levelset_membership_grid(
 
     Points are pruned first by phat's own mass (phat_mass_survivors), which
     changes no answer.
+
+    The log-pmf matrix is a BLAS product, and its rounding can depend on
+    the number of points in a batch: a one-point batch runs as a
+    matrix-vector product. So at points within that rounding of the
+    region's boundary, a one-row call and a many-row call can give
+    different answers.
 
     The survivors go through in batches of _BATCH_ENTRIES / (8 N) points.
     One batch's log-pmf matrix is alive at a time, and G is summed over
@@ -427,6 +380,11 @@ def membership_grid(
     built per ``spec``."""
     if phat.n != spec.n or phat.k != spec.k:
         raise ValueError("spec does not match the supplied phat")
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != spec.k:
+        raise ValueError(
+            f"points must have shape (G, {spec.k}), got {points.shape}"
+        )
     if spec.kind == "sanov":
         return sanov_membership_grid(phat, spec.delta, points)
     if spec.kind == "polytope":

@@ -39,12 +39,10 @@ def region_volume(phat: EmpiricalDistribution, spec: RegionSpec, M: int) -> floa
 
 def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
     """Sum of region volumes over every possible outcome."""
-    if M < 50:
+    if M < 50:  # refused before the outcomes are enumerated
         raise ValueError("resolution must be >= 50 for a usable estimate")
-    points = SimplexGrid(spec.k, M).points
-    per_phat = {}
-    for phat in enumerate_simplex(spec.k, spec.n):
-        per_phat[phat] = float(membership_grid(phat, spec, points).mean())
+    outcomes = enumerate_simplex(spec.k, spec.n)
+    per_phat = {phat: region_volume(phat, spec, M) for phat in outcomes}
     return VolumeReport(
         per_phat=per_phat,
         total=float(sum(per_phat.values())),

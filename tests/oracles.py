@@ -1,8 +1,9 @@
 """Independent oracles for the test suite: the bars-and-stars outcome
 enumeration, exact big-rational pmf sums, exhaustive subset search for
-minimal covering cardinality, a one-dimensional boundary-bisection
-measure for k = 2 regions, a 64-step bisection for two-point KL interval
-endpoints, a lexsort with a per-run re-sort for the probability ordering,
+minimal covering cardinality, scalar KL divergences (full and two-point)
+with the method-of-types rejection test built on them, a one-dimensional
+boundary-bisection measure for k = 2 regions, a 64-step bisection for
+two-point KL interval endpoints, a lexsort with a per-run re-sort for the probability ordering,
 and the level-set grid kernel with its KL outer-bound prune. These stay
 deliberately separate from the library's arithmetic outcome table, its
 log-space code paths, its Newton KL-bound solver, its run-key ordering
@@ -95,6 +96,58 @@ def random_rational_point(rng: np.random.Generator, k: int, denom: int = 50):
 
 def point_from_fractions(fracs) -> SimplexPoint:
     return SimplexPoint(tuple(float(f) for f in fracs), normalize=True)
+
+
+def kl_divergence(p: SimplexPoint, q: SimplexPoint) -> float:
+    """KL(p, q) in nats with the 0 log 0 = 0 convention; +inf when p puts
+    mass where q has none."""
+    if p.k != q.k:
+        raise ValueError(f"dimension mismatch: {p.k} vs {q.k}")
+    if p.probs == q.probs:
+        return 0.0
+    terms = []
+    for a, b in zip(p.probs, q.probs):
+        if a == 0.0:
+            continue
+        if b == 0.0:
+            return float("inf")
+        terms.append(a * math.log(a / b))
+    return max(0.0, math.fsum(terms))
+
+
+def kl_bernoulli(a: float, b: float) -> float:
+    """Two-point KL divergence between Bernoulli(a) and Bernoulli(b)."""
+    if not (0.0 <= a <= 1.0) or not (0.0 <= b <= 1.0):
+        raise ValueError(f"arguments must lie in [0, 1], got {a}, {b}")
+    if a == b:
+        return 0.0
+    s = 0.0
+    if a > 0.0:
+        if b == 0.0:
+            return float("inf")
+        s += a * (math.log(a) - math.log(b))  # a / b overflows for tiny b
+    if a < 1.0:
+        if b == 1.0:
+            return float("inf")
+        s += (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+    return max(0.0, s)
+
+
+def outer_bound_reject(
+    phat: EmpiricalDistribution, p: SimplexPoint, delta: float
+) -> bool:
+    """Sound rejection test: true only when the method-of-types bound
+    (n+1)^(2k) exp(-n KL(phat, p)) is at most delta, which forces the exact
+    p-value at or below delta. Evaluated in log space."""
+    if phat.k != p.k:
+        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
+    n, k = phat.n, phat.k
+    if n == 0:
+        return False
+    div = kl_divergence(phat.as_point(), p)
+    if math.isinf(div):
+        return True
+    return 2.0 * k * math.log(n + 1) - n * div <= math.log(delta)
 
 
 def min_covering_size_bruteforce(probs, target: float, chunk: int = 200_000) -> int:
@@ -203,7 +256,7 @@ def kl_bernoulli_bounds_bisection(mean_hats, levels):
 
 def _kl_rounding(mean_hat: float, m: float) -> float:
     """Scale of the absolute rounding error of KL(mean_hat, m) as computed
-    by core.kl_bernoulli or core.kl_bernoulli_many: each term's logarithms
+    by kl_bernoulli or core.kl_bernoulli_many: each term's logarithms
     carry about one ulp of their size."""
     s = 0.0
     if mean_hat > 0.0:

@@ -21,10 +21,8 @@ from simplexcr import (
     enumerate_simplex,
     functional_interval,
     hoeffding_interval,
-    kl_divergence,
     lucb_run,
     member_of_covering,
-    outer_bound_reject,
     p_value,
     region_membership,
     simplex_size,
@@ -33,7 +31,7 @@ from simplexcr.core import (
     _grid_points,
     compositions_array,
     log_coefficients,
-    log_pmf_array,
+    outcome_log_pmf,
 )
 from simplexcr.regions import (
     levelset_membership_grid,
@@ -41,7 +39,7 @@ from simplexcr.regions import (
     sanov_membership_grid,
 )
 
-from oracles import min_covering_size_bruteforce
+from oracles import kl_divergence, min_covering_size_bruteforce, outer_bound_reject
 
 MEAN3 = LinearFunctional((0.0, 0.5, 1.0))
 
@@ -68,11 +66,10 @@ def test_criterion_2_minimal_cardinality_oracle():
     rng = np.random.default_rng(2024)
     checked = 0
     for k, n in [(2, 4), (2, 6), (3, 4)]:
-        counts = compositions_array(k, n)
         for delta in (0.1, 0.3):
             for _ in range(50):
                 p = _random_point(rng, k)
-                probs = np.exp(log_pmf_array(counts, p.as_array()))
+                probs = np.exp(outcome_log_pmf(k, n, p.as_array()))
                 want = min_covering_size_bruteforce(probs, 1.0 - delta)
                 assert len(covering_collection(p, n, delta)) == want
                 checked += 1
@@ -164,7 +161,7 @@ def test_criterion_6_outer_bound_soundness_and_type_class_sandwich():
     counts = compositions_array(k, n)
     for _ in range(20):
         p = _random_point(rng, 3)
-        logp = log_pmf_array(counts, p.as_array())
+        logp = outcome_log_pmf(k, n, p.as_array())
         for row, lp in zip(counts, logp):
             div = kl_divergence(EmpiricalDistribution(tuple(row)).as_point(), p)
             assert lp <= -n * div + 1e-9

@@ -17,7 +17,6 @@ from simplexcr import (
     functional_interval,
     hoeffding_interval,
     induced_measure_sampler,
-    kl_bernoulli,
     kl_bernoulli_interval,
     mixture_point_from_uniform,
     oracle_chernoff_interval,
@@ -33,6 +32,8 @@ from simplexcr.core import (
 )
 from simplexcr.functionals import IntervalResult
 from simplexcr.regions import membership_grid, phat_mass_survivors
+
+from oracles import kl_bernoulli
 
 MEAN3 = LinearFunctional((0.0, 0.5, 1.0))
 

@@ -11,26 +11,24 @@ import pytest
 
 import simplexcr
 from simplexcr import (
+    KINDS,
     EmpiricalDistribution,
     RegionSpec,
     SimplexGrid,
     SimplexPoint,
     covering_collection,
     enumerate_simplex,
-    level_set_membership_via_pvalue,
     member_of_covering,
-    outer_bound_reject,
     p_value,
-    polytope_membership,
     region_membership,
-    sanov_membership,
     sanov_threshold,
 )
-from simplexcr.core import LOG_TIE_TOL, compositions_array, log_pmf_array
+from simplexcr.core import LOG_TIE_TOL, compositions_array, outcome_log_pmf
 from simplexcr import regions
 from simplexcr.regions import (
     covering_sizes_grid,
     levelset_membership_grid,
+    membership_grid,
     polytope_membership_grid,
     polytope_threshold,
     sanov_membership_grid,
@@ -38,8 +36,11 @@ from simplexcr.regions import (
 
 from oracles import (
     exact_p_value,
+    kl_bernoulli,
+    kl_divergence,
     levelset_membership_grid_kl_prune,
     min_covering_size_bruteforce,
+    outer_bound_reject,
     point_from_fractions,
     probability_ordering_lexsort,
     random_rational_point,
@@ -78,18 +79,16 @@ class TestCoveringCollection:
         # exhaustive subset oracle over all of Delta_{3,6}
         p = SimplexPoint((0.7, 0.2, 0.1))
         cc = covering_collection(p, 6, 0.3)
-        counts = compositions_array(3, 6)
-        probs = np.exp(log_pmf_array(counts, p.as_array()))
+        probs = np.exp(outcome_log_pmf(3, 6, p.as_array()))
         assert len(cc) == min_covering_size_bruteforce(probs, 0.7)
 
     def test_minimal_cardinality_random_sweep(self):
         rng = np.random.default_rng(23)
         for k, n in [(2, 4), (2, 6), (3, 4)]:
-            counts = compositions_array(k, n)
             for delta in (0.1, 0.3):
                 for _ in range(10):
                     p = SimplexPoint(tuple(rng.dirichlet(np.ones(k))), normalize=True)
-                    probs = np.exp(log_pmf_array(counts, p.as_array()))
+                    probs = np.exp(outcome_log_pmf(k, n, p.as_array()))
                     want = min_covering_size_bruteforce(probs, 1.0 - delta)
                     assert len(covering_collection(p, n, delta)) == want
 
@@ -156,7 +155,7 @@ class TestCoveringCollection:
             "55eeadb543c04117bdf87decf17263e746f6b3448af4666941347c7c09c1b9c2"
         )
         counts = compositions_array(5, 12)
-        logp = log_pmf_array(counts, P5.as_array())
+        logp = outcome_log_pmf(5, 12, P5.as_array())
         order = probability_ordering_lexsort(counts, logp)
         assert got == [tuple(r) for r in counts[order[: len(got)]].tolist()]
 
@@ -216,30 +215,29 @@ class TestPValue:
 
 
 class TestPvalueMembership:
+    """The p-value rule keeps p iff p_value(phat, p) > delta."""
+
     def test_deterministic(self):
         p = SimplexPoint((1.0, 0.0, 0.0))
-        assert level_set_membership_via_pvalue(p, EmpiricalDistribution((5, 0, 0)), 0.3)
+        assert p_value(EmpiricalDistribution((5, 0, 0)), p) > 0.3
 
     def test_exhaustive_comparison(self):
         fracs = (Fraction(1, 3),) * 3
         want = float(exact_p_value((5, 0, 0), fracs))
-        got = level_set_membership_via_pvalue(
-            UNIFORM3, EmpiricalDistribution((5, 0, 0)), 0.3
-        )
+        got = p_value(EmpiricalDistribution((5, 0, 0)), UNIFORM3) > 0.3
         assert got == (want > 0.3)
 
     def test_disagreements_only_inside_tie_class(self):
         rng = np.random.default_rng(41)
         outcomes = enumerate_simplex(3, 5)
-        counts = compositions_array(3, 5)
         delta = 0.7
         checked = disagreements = 0
         for _ in range(50):
             p = SimplexPoint(tuple(rng.dirichlet(np.ones(3))), normalize=True)
-            logp = log_pmf_array(counts, p.as_array())
+            logp = outcome_log_pmf(3, 5, p.as_array())
             for i, phat in enumerate(outcomes):
                 a = member_of_covering(phat, p, delta)
-                b = level_set_membership_via_pvalue(p, phat, delta)
+                b = p_value(phat, p) > delta
                 checked += 1
                 if a != b:
                     disagreements += 1
@@ -276,11 +274,9 @@ class TestOuterBound:
         rng = np.random.default_rng(47)
         counts = compositions_array(3, 8)
         n, k = 8, 3
-        from simplexcr import kl_divergence
-
         for _ in range(20):
             p = SimplexPoint(tuple(rng.dirichlet(np.ones(3))), normalize=True)
-            logp = log_pmf_array(counts, p.as_array())
+            logp = outcome_log_pmf(k, n, p.as_array())
             for row, lp in zip(counts, logp):
                 div = kl_divergence(EmpiricalDistribution(tuple(row)).as_point(), p)
                 assert lp <= -n * div + 1e-9
@@ -299,9 +295,11 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 class TestSanov:
+    SPEC = RegionSpec(0.7, "sanov", 15, 3)
+
     def test_self_membership(self):
         phat = EmpiricalDistribution((6, 6, 3))
-        assert sanov_membership(phat.as_point(), phat, 0.7)
+        assert region_membership(phat.as_point(), phat, self.SPEC)
 
     def test_refined_threshold_value(self):
         assert sanov_threshold(3, 15, 0.7) == pytest.approx(
@@ -311,17 +309,16 @@ class TestSanov:
     def test_membership_uses_kl(self):
         phat = EmpiricalDistribution((6, 6, 3))
         thr = sanov_threshold(3, 15, 0.7)
-        from simplexcr import kl_divergence
-
         p = SimplexPoint((0.45, 0.35, 0.2))
         want = kl_divergence(phat.as_point(), p) <= thr
-        assert sanov_membership(p, phat, 0.7) == want
+        assert region_membership(p, phat, self.SPEC) == want
 
 
 class TestPolytope:
     def test_self_membership(self):
         phat = EmpiricalDistribution((6, 6, 3))
-        assert polytope_membership(phat.as_point(), phat, 0.7)
+        spec = RegionSpec(0.7, "polytope", 15, 3)
+        assert region_membership(phat.as_point(), phat, spec)
 
     def test_threshold_value(self):
         assert polytope_threshold(3, 15, 0.7) == pytest.approx(
@@ -331,15 +328,16 @@ class TestPolytope:
     def test_single_coordinate_violation(self):
         phat = EmpiricalDistribution((6, 6, 3))
         p = SimplexPoint((0.99, 0.005, 0.005))
-        assert not polytope_membership(p, phat, 0.7)
+        assert not region_membership(p, phat, RegionSpec(0.7, "polytope", 15, 3))
 
     def test_conjunction_semantics(self):
         phat = EmpiricalDistribution((5, 5, 5))
+        spec = RegionSpec(0.3, "polytope", 15, 3)
         ok = SimplexPoint((0.34, 0.33, 0.33))
-        assert polytope_membership(ok, phat, 0.3)
+        assert region_membership(ok, phat, spec)
         # move one marginal far out while keeping the rest reasonable
         bad = SimplexPoint((0.95, 0.03, 0.02))
-        assert not polytope_membership(bad, phat, 0.3)
+        assert not region_membership(bad, phat, spec)
 
 
 class TestRegionMembership:
@@ -414,15 +412,33 @@ class TestVectorizedPaths:
         assert peak < 1.4 * lp_bytes
 
     def test_sanov_polytope_grids_match_scalar(self):
+        """Against the regions' rules written from the scalar KL oracles."""
         rng = np.random.default_rng(61)
         phat = EmpiricalDistribution((6, 6, 3))
         pts = rng.dirichlet(np.ones(3), size=100)
         sg = sanov_membership_grid(phat, 0.7, pts)
         pg = polytope_membership_grid(phat, 0.7, pts)
+        sanov_thr = sanov_threshold(3, 15, 0.7)
+        poly_thr = polytope_threshold(3, 15, 0.7)
         for i, row in enumerate(pts):
             p = SimplexPoint(tuple(row), normalize=True)
-            assert sg[i] == sanov_membership(p, phat, 0.7)
-            assert pg[i] == polytope_membership(p, phat, 0.7)
+            assert sg[i] == (kl_divergence(phat.as_point(), p) <= sanov_thr)
+            assert pg[i] == all(
+                kl_bernoulli(c / 15, x) <= poly_thr
+                for c, x in zip(phat.counts, p.probs)
+            )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_membership_grid_refuses_points_of_wrong_width(self, kind):
+        phat = EmpiricalDistribution((2, 5, 3))
+        spec = RegionSpec(0.3, kind, 10, 3)
+        for width in (1, 2, 4):
+            pts = np.full((5, width), 1.0 / width)
+            with pytest.raises(ValueError, match="shape"):
+                membership_grid(phat, spec, pts)
+        with pytest.raises(ValueError, match="shape"):
+            membership_grid(phat, spec, np.full(3, 1.0 / 3))
+        assert membership_grid(phat, spec, np.full((5, 3), 1.0 / 3)).shape == (5,)
 
     def test_covering_sizes_match_collections(self):
         rng = np.random.default_rng(67)

@@ -35,6 +35,7 @@ from .functionals import (
     hoeffding_interval,
     kl_bernoulli_interval,
     oracle_chernoff_interval,
+    scan_resolution,
 )
 from .regions import (
     KINDS,
@@ -95,11 +96,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _scan_resolution(grid: int | None, n: int) -> int:
-    """Grid resolution of a region scan at sample size n."""
-    return grid or max(10 * n, 150)
 
 
 def _check_size(
@@ -176,7 +172,7 @@ def cmd_region(config: RunConfig) -> int:
         sys.stdout.write("true\n" if region_membership(p, phat, spec) else "false\n")
         return 0
 
-    resolution = _scan_resolution(config.grid, n)
+    resolution = config.grid or scan_resolution(n)
     points = SimplexGrid(k, resolution).points
     kinds = KINDS if config.construction == "all" else (config.construction,)
     outputs = []
@@ -261,7 +257,7 @@ def cmd_widths(config: RunConfig) -> int:
             rows.append([n, "warning", "", "", "", note])
         phat = EmpiricalDistribution(counts)
         mean_hat = values.apply(phat.as_point())
-        resolution = _scan_resolution(config.grid, n)
+        resolution = config.grid or scan_resolution(n)
         spec = RegionSpec(delta, "levelset", n, 3)
         intervals = {
             "levelset": functional_interval(phat, values, delta, spec, M=resolution),
@@ -471,7 +467,7 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
     if config.grid is not None and config.grid < 1:
         parser.error("--grid must be >= 1")
     if config.subcommand == "region" and config.p is None:
-        resolution = _scan_resolution(config.grid, sum(config.phat))
+        resolution = config.grid or scan_resolution(sum(config.phat))
         _check_size(parser, len(config.phat), resolution, "grid", "--grid")
     if config.subcommand == "volume":
         if config.k < 1 or config.n < 0:
@@ -488,7 +484,7 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         if any(n < 10 for n in config.n_list):
             parser.error("widths sweep needs n >= 10")
         for n in config.n_list:
-            _check_size(parser, 3, _scan_resolution(config.grid, n), "grid", "--grid")
+            _check_size(parser, 3, config.grid or scan_resolution(n), "grid", "--grid")
     # per-subcommand default output format
     if "fmt" not in payload or payload.get("fmt") is None:
         config.fmt = "json" if config.subcommand in ("region", "volume") else "csv"

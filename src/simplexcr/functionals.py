@@ -109,6 +109,11 @@ def _first_member(
     return None
 
 
+def scan_resolution(n: int) -> int:
+    """Default resolution of a region's scan grid at sample size n."""
+    return max(10 * n, 150)
+
+
 def functional_interval(
     phat: EmpiricalDistribution,
     f: LinearFunctional,
@@ -121,13 +126,13 @@ def functional_interval(
     """Range of f over the confidence region of phat, as an interval.
 
     Takes the hull of f over the members of the resolution-M simplex grid
-    (default max(10n, 150); more than MAX_GRID_POINTS points is refused
-    before the grid is built) and widens it by the grid Lipschitz padding
-    (max_ij |v_i - v_j|) * (k - 1) / M. The padded interval is clamped to
-    the functional's range. The hull comes from an extremal scan: the grid
-    points sorted by f are tested from each end in chunks of 8, 16, 32, ...
-    points, and the first member from each end holds the least and the
-    greatest member value. For the level-set kind only the points that
+    (default scan_resolution(n), max(10n, 150); more than MAX_GRID_POINTS
+    points is refused before the grid is built) and widens it by the grid
+    Lipschitz padding (max_ij |v_i - v_j|) * (k - 1) / M. The padded
+    interval is clamped to the functional's range. The hull comes from an
+    extremal scan: the grid points sorted by f are tested from each end in
+    chunks of 8, 16, 32, ... points, and the first member from each end
+    holds the least and the greatest member value. For the level-set kind only the points that
     survive ``phat_mass_survivors`` over the whole grid are walked: a
     pruned point is a proven non-member, so the first member from each end
     is the same. Membership is decided per point, so the interval is the
@@ -149,7 +154,7 @@ def functional_interval(
 
     if phat.k <= 3:
         if M is None:
-            M = max(10 * phat.n, 150)
+            M = scan_resolution(phat.n)
         size = simplex_size(phat.k, M)
         if size > MAX_GRID_POINTS:
             raise ValueError(

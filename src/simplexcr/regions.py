@@ -12,7 +12,10 @@ phat_mass_survivors: the kernel, levelset_membership_grid, prunes its
 points with it, and functionals.functional_interval prunes its whole scan
 grid with it and walks only the survivors. A pruned point is a proven
 non-member, so the prune cannot change an answer. kl_ball_radius restates
-the same rule as a KL ball around phat that holds every member.
+the same rule as a KL ball around phat that holds every member. The kernel
+and covering_sizes_grid build their outcome-by-point matrices one block of
+about _BLOCK_ENTRIES entries at a time, so their memory does not grow with
+the number of points.
 """
 from __future__ import annotations
 
@@ -39,9 +42,10 @@ from .core import (
 
 KINDS = ("levelset", "sanov", "polytope")
 
-# Entry budget per vectorized log-pmf batch; keeps transient matrices
-# around 160 MB.
-_BATCH_ENTRIES = 20_000_000
+# Entries in one block of an outcome-by-point matrix, 2.5 MB of float64.
+# levelset_membership_grid and covering_sizes_grid both take
+# max(1, _BLOCK_ENTRIES // N) points per block over N outcomes.
+_BLOCK_ENTRIES = 312_500
 
 
 @dataclass(frozen=True)
@@ -277,16 +281,14 @@ def levelset_membership_grid(
     Points are pruned first by phat's own mass (phat_mass_survivors), which
     changes no answer.
 
-    The log-pmf matrix is a BLAS product, and its rounding can depend on
-    the number of points in a batch: a one-point batch runs as a
+    The survivors go through in blocks of max(1, _BLOCK_ENTRIES // N)
+    points, so one block's log-pmf matrix and its masks, a few MB, are
+    alive at a time. The matrix is a BLAS product, and its rounding can
+    depend on the number of points in a block: a one-point block runs as a
     matrix-vector product. So at points within that rounding of the
     region's boundary, a one-row call and a many-row call can give
-    different answers.
-
-    The survivors go through in batches of _BATCH_ENTRIES / (8 N) points.
-    One batch's log-pmf matrix is alive at a time, and G is summed over
-    blocks of its columns, so the peak memory is about one matrix,
-    whatever share of it is selected.
+    different answers. Above _BLOCK_ENTRIES / 2 outcomes every block holds
+    one point, so there they agree.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -313,46 +315,34 @@ def levelset_membership_grid(
     w = w[cand]
     counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
-    batch = max(16, _BATCH_ENTRIES // (8 * num))
-    for a in range(0, len(cand), batch):
-        cols = cand[a : a + batch]
-        wb = w[a : a + batch]
+    block = max(1, _BLOCK_ENTRIES // num)
+    for a in range(0, len(cand), block):
+        cols = cand[a : a + block]
+        wb = w[a : a + block]
         # Candidate columns are contiguous in grid order, so they are close
-        # on the simplex and the per-batch row bound prunes hard: any row
-        # whose best-case log-pmf over this batch is below the floor can
+        # on the simplex and the per-block row bound prunes hard: any row
+        # whose best-case log-pmf over this block is below the floor can
         # never be counted.
         row_bound = logcoef + counts_f @ wb.max(axis=0)
         kept = row_bound > floor
         kept[idx] = True
         new_idx = int(kept[:idx].sum())
-        if len(wb) == 1:  # a one-point batch's row bound is its log-pmf
+        if len(wb) == 1:  # a one-point block's row bound is its log-pmf
             lp = row_bound[kept][:, None]
         else:
             lp = counts_f[kept] @ wb.T
             lp += logcoef[kept][:, None]
         lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
         q = lp[new_idx]
-        quick = q > log_delta
-        member[cols[quick]] = True
-        rest = np.flatnonzero(~quick)
-        # G is summed over blocks of the remaining columns, each an eighth
-        # of the batch's entry budget, so the copies, masks and gathers of
-        # a block stay small beside lp whatever share of it is selected.
-        # Each column's sum is the same whatever block holds it.
-        step = max(1, _BATCH_ENTRIES // (64 * len(lp)))
-        for b in range(0, len(rest), step):
-            part = rest[b : b + step]
-            lpr = lp[:, part]
-            hi = q[part] + LOG_TIE_TOL
-            lo = q[part] - LOG_TIE_TOL
-            sel = (lpr > hi) | ((lpr <= hi) & (lpr >= lo) & lex_earlier[:, None])
-            sel &= lpr > floor
-            srows, scols = np.nonzero(sel)
-            mass = np.bincount(
-                scols, weights=np.exp(lpr[srows, scols]), minlength=len(part)
-            )
-            member[cols[part]] = mass < target
-        del lp, q  # q views lp; the next batch's lp is not built beside this one
+        hi = q + LOG_TIE_TOL
+        lo = q - LOG_TIE_TOL
+        sel = (lp > hi) | ((lp <= hi) & (lp >= lo) & lex_earlier[:, None])
+        sel &= lp > floor
+        srows, scols = np.nonzero(sel)
+        mass = np.bincount(
+            scols, weights=np.exp(lp[srows, scols]), minlength=len(cols)
+        )
+        member[cols] = (q > log_delta) | (mass < target)
     return member
 
 
@@ -405,9 +395,9 @@ def covering_sizes_grid(
     logcoef = log_coefficients(k, n)
     target = 1.0 - delta
     out = np.empty(len(points), dtype=np.int64)
-    batch = max(1, _BATCH_ENTRIES // num)
-    for a in range(0, len(points), batch):
-        g = points[a : a + batch]
+    block = max(1, _BLOCK_ENTRIES // num)
+    for a in range(0, len(points), block):
+        g = points[a : a + block]
         lp = logcoef[:, None] + counts @ log_weights(g).T
         pr = np.sort(np.exp(lp), axis=0)[::-1]
         cum = np.cumsum(pr, axis=0)

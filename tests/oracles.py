@@ -31,7 +31,6 @@ from simplexcr.core import (
     log_weights,
 )
 from simplexcr.functionals import _kl_ball_sup
-from simplexcr.regions import _BATCH_ENTRIES
 
 
 def iter_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -379,7 +378,7 @@ def levelset_membership_grid_kl_prune(
     w = log_weights(points[cand])
     counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
-    batch = max(16, _BATCH_ENTRIES // (8 * num))
+    batch = max(16, 20_000_000 // (8 * num))  # independent of the library's blocks
     for a in range(0, len(cand), batch):
         cols = cand[a : a + batch]
         wb = w[a : a + batch]

@@ -379,28 +379,27 @@ class TestVectorizedPaths:
         assert got.tolist() == want
 
     def test_levelset_grid_mass_blocks_match_oracle(self, monkeypatch):
-        """At n = 200, on points near phat, each batch of 123 points has its
-        mass summed over several column blocks; the bits are those of the
-        oracle kernel, which sums a batch at once."""
+        """At n = 200, on points near phat, the points cross many blocks of
+        the kernel, one mass sum per block; the bits are those of the
+        oracle kernel, which sums batches of 123 points at once."""
         calls = []
         bincount = np.bincount
         monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
         phat = EmpiricalDistribution((60, 80, 60))
         pts = np.random.default_rng(73).dirichlet(np.array(phat.counts, dtype=float), size=246)
         got = levelset_membership_grid(phat, 0.3, pts)
-        assert len(calls) >= 3 * 2  # at least three blocks per batch
+        assert len(calls) >= 6  # at least six blocks
         monkeypatch.setattr(np, "bincount", bincount)
         assert 0 < got.sum() < len(pts)
         assert np.array_equal(got, levelset_membership_grid_kl_prune(phat, 0.3, pts))
 
     def test_levelset_grid_holds_one_batch_matrix(self):
-        """Over many batches the kernel's traced peak stays near one batch's
-        log-pmf matrix: the previous batch's matrix is freed before the
-        next is built, and the mass blocks are small beside it."""
+        """Over many blocks the kernel's traced peak stays within a few
+        blocks of log-pmf entries: a block's matrix and masks are freed
+        before the next block's are built."""
         phat = EmpiricalDistribution((3, 5, 7, 5))
         pts = np.random.default_rng(71).dirichlet(np.ones(4), size=10_000)
-        num = len(compositions_array(4, 20))
-        lp_bytes = 8 * num * (regions._BATCH_ENTRIES // (8 * num))
+        block_bytes = 8 * regions._BLOCK_ENTRIES
         levelset_membership_grid(phat, 0.3, pts[:16])  # tables cached
         tracemalloc.start()
         try:
@@ -409,7 +408,22 @@ class TestVectorizedPaths:
         finally:
             tracemalloc.stop()
         assert 0 < got.sum() < len(pts)
-        assert peak < 1.4 * lp_bytes
+        assert peak < 4 * block_bytes
+
+    def test_levelset_grid_one_point_blocks_match_oracle_and_scalar(self):
+        """At k = 5, n = 50 the outcomes outnumber a block's entries, so
+        every block holds one point: a many-row call equals, bit for bit,
+        the oracle kernel's 16-point batches and each point's one-row
+        call."""
+        phat = EmpiricalDistribution((8, 12, 10, 9, 11))
+        assert len(compositions_array(5, 50)) > regions._BLOCK_ENTRIES
+        rng = np.random.default_rng(79)
+        pts = rng.dirichlet(np.array(phat.counts, dtype=float), size=24)
+        got = levelset_membership_grid(phat, 0.3, pts)
+        assert 0 < got.sum() < len(pts)
+        assert np.array_equal(got, levelset_membership_grid_kl_prune(phat, 0.3, pts))
+        want = [member_of_covering(phat, SimplexPoint(tuple(r)), 0.3) for r in pts]
+        assert got.tolist() == want
 
     def test_sanov_polytope_grids_match_scalar(self):
         """Against the regions' rules written from the scalar KL oracles."""
@@ -447,6 +461,21 @@ class TestVectorizedPaths:
         for row, size in zip(pts, sizes):
             p = SimplexPoint(tuple(row), normalize=True)
             assert size == len(covering_collection(p, 5, 0.7))
+
+    def test_covering_sizes_grid_holds_a_few_blocks(self):
+        """Over a 45,451-point grid the traced peak stays within a few
+        blocks of outcome-by-point entries, whatever the number of
+        points."""
+        pts = SimplexGrid(3, 300).points
+        covering_sizes_grid(10, 3, 0.3, pts[:4])  # tables cached
+        tracemalloc.start()
+        try:
+            sizes = covering_sizes_grid(10, 3, 0.3, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes.min() >= 1 and sizes.max() <= len(compositions_array(3, 10))
+        assert peak < 8 * 8 * regions._BLOCK_ENTRIES
 
     def test_uniform_covering_size_is_three(self):
         sizes = covering_sizes_grid(5, 3, 0.7, np.array([[1 / 3, 1 / 3, 1 / 3]]))

@@ -236,6 +236,35 @@ def kahan_cumsum(values: np.ndarray, target: float) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
+def exact_sum(values) -> float:
+    """The correctly rounded sum of nonnegative finite float64 values (half
+    to even), equal to ``math.fsum(values)`` bit for bit.
+
+    Each value is mant * 2**(e - 1075) exactly, with e the exponent field
+    (1 for subnormals and zero) and mant its 53-bit significand. The high
+    and low 26-bit halves of mant are summed per exponent by ``bincount``;
+    over at most 2**26 values every partial sum is an integer under 2**53,
+    so float64 holds it exactly. The bins are then added as one Python int,
+    and int / int true division rounds once. Raises ValueError on more
+    than 2**26 values, or on a value that is negative, -0.0, nan or inf.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    if len(bits) > 1 << 26:
+        raise ValueError(f"exact_sum takes at most 2**26 values, got {len(bits)}")
+    e = bits >> 52  # exponent field; the sign bit makes it negative
+    if len(e) and not (e.min() >= 0 and e.max() < 0x7FF):
+        raise ValueError("exact_sum takes nonnegative finite values")
+    np.maximum(e, 1, out=e)
+    mant = bits - ((e - 1) << 52)  # the implicit bit of a normal stays set
+    high = np.bincount(e, weights=mant >> 26)
+    low = np.bincount(e, weights=mant & ((1 << 26) - 1))
+    nz = np.flatnonzero(high + low)
+    total = 0
+    for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
+        total += ((int(h) << 26) + int(lo)) << i
+    return total / (1 << 1075)
+
+
 @lru_cache(maxsize=8)
 def _grid_points(k: int, resolution: int) -> np.ndarray:
     pts = compositions_array(k, resolution) / float(resolution)

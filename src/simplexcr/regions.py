@@ -31,6 +31,7 @@ from .core import (
     SimplexPoint,
     composition_rank,
     compositions_array,
+    exact_sum,
     kahan_cumsum,
     kl_bernoulli_many,
     kl_to_many,
@@ -165,6 +166,9 @@ def member_of_covering(
 def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     """Exact p-value of phat under p: total probability of phat and every
     outcome no more probable than it (ties resolved within LOG_TIE_TOL).
+    The sum of those outcomes' probabilities is correctly rounded, equal
+    to math.fsum bit for bit, and computed by binning them on their float
+    exponent (core.exact_sum).
 
     The rule p_value(phat, p) > delta differs from member_of_covering only
     when 1 - delta falls strictly inside phat's probability-tie class,
@@ -177,7 +181,7 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     include = logp <= q + LOG_TIE_TOL
     if bool(include.all()):
         return 1.0  # no outcome is more probable; the sum is exactly total mass
-    return min(1.0, math.fsum(np.exp(logp[include])))
+    return min(1.0, exact_sum(np.exp(logp[include])))
 
 
 def sanov_threshold(k: int, n: int, delta: float) -> float:

@@ -1,16 +1,18 @@
 """Independent oracles for the test suite: the bars-and-stars outcome
-enumeration, exact big-rational pmf sums, exhaustive subset search for
-minimal covering cardinality, scalar KL divergences (full and two-point)
-with the method-of-types rejection test built on them, a one-dimensional
-boundary-bisection measure for k = 2 regions, a 64-step bisection for
-two-point KL interval endpoints, a lexsort with a per-run re-sort for the probability ordering,
+enumeration, exact big-rational pmf sums, the p-value summed by
+math.fsum, exhaustive subset search for minimal covering cardinality,
+scalar KL divergences (full and two-point) with the method-of-types
+rejection test built on them, a one-dimensional boundary-bisection
+measure for k = 2 regions, a 64-step bisection for two-point KL interval
+endpoints, a lexsort with a per-run re-sort for the probability ordering,
 and the level-set grid kernel with its KL outer-bound prune. These stay
 deliberately separate from the library's arithmetic outcome table, its
-log-space code paths, its Newton KL-bound solver, its run-key ordering
-and its phat-mass prune. The whole-array Hoeffding and bisection
-kl-bernoulli LUCB endpoints are the references for the bandit's per-arm
-formulas; ``kl_end_allowance`` is how far the dual's two-point KL end
-may stray from the bisection's on rounding alone."""
+log-space code paths, its exponent-binned exact sum, its KL-ball dual
+solver, its run-key ordering and its phat-mass prune. The whole-array
+Hoeffding and bisection kl-bernoulli LUCB endpoints are the references
+for the bandit's per-arm formulas; ``kl_end_allowance`` is how far the
+dual's two-point KL end may stray from the bisection's on rounding
+alone."""
 from __future__ import annotations
 
 import math
@@ -29,6 +31,7 @@ from simplexcr.core import (
     kl_to_many,
     log_coefficients,
     log_weights,
+    outcome_log_pmf,
 )
 from simplexcr.functionals import _kl_ball_sup
 
@@ -81,6 +84,19 @@ def exact_p_value(phat_counts, probs: tuple[Fraction, ...]) -> Fraction:
         if v <= target:
             total += v
     return total
+
+
+def p_value_fsum(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
+    """The library's p_value as it was written with math.fsum over the
+    included outcomes' probabilities, element by element."""
+    if phat.k != p.k:
+        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
+    logp = outcome_log_pmf(p.k, phat.n, p.as_array())
+    q = logp[composition_rank(phat.counts)]
+    include = logp <= q + LOG_TIE_TOL
+    if bool(include.all()):
+        return 1.0
+    return min(1.0, math.fsum(np.exp(logp[include])))
 
 
 def random_rational_point(rng: np.random.Generator, k: int, denom: int = 50):

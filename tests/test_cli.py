@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from simplexcr import RegionSpec, average_volume
+from simplexcr import EmpiricalDistribution, RegionSpec, SimplexPoint, average_volume
 from simplexcr.cli import main
+
+from oracles import p_value_fsum
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,21 @@ class TestPointQueries:
         code, out, _ = run_cli(capsys, "pvalue", "--phat", "5,0,0", "--p", "1,0,0")
         assert code == 0
         assert out.strip() == "1.0"
+
+    def test_pvalue_prints_repr_of_fsum_form(self, capsys):
+        # k = 3, n = 600: a 180,901-outcome table with a long tail
+        code, out, _ = run_cli(
+            capsys, "pvalue", "--phat", "200,200,200", "--p", "0.3,0.3,0.4"
+        )
+        phat = EmpiricalDistribution((200, 200, 200))
+        want = p_value_fsum(phat, SimplexPoint((0.3, 0.3, 0.4)))
+        assert code == 0
+        assert out == f"{want!r}\n"
+
+    def test_pvalue_readme_example_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "pvalue", "--phat", "6,6,3", "--p", "0.4,0.4,0.2")
+        assert code == 0
+        assert out == "1.0\n"
 
     def test_region_membership_query_true(self, capsys):
         u = "0.3333333333333333,0.3333333333333333,0.3333333333333334"

@@ -16,6 +16,7 @@ from simplexcr.core import (
     MAX_GRID_POINTS,
     composition_rank,
     compositions_array,
+    exact_sum,
     kahan_cumsum,
     kl_bernoulli_many,
     log_coefficients,
@@ -295,6 +296,14 @@ def test_kahan_cumsum_matches_fsum():
     prefix = kahan_cumsum(vals, target)
     first = int(np.flatnonzero(cum >= target)[0])
     assert np.array_equal(prefix, cum[: first + 1])
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, -1e-300], [-0.0], [0.5, math.nan], [math.inf], [2.0, -math.inf]]
+)
+def test_exact_sum_refuses_negative_and_nonfinite(values):
+    with pytest.raises(ValueError):
+        exact_sum(values)
 
 
 def test_composition_rank_is_row_index():

@@ -1,9 +1,12 @@
 """Property tests of the paper's identities, of the probability ordering, of
 the level-set kernel's prune, of the KL-ball bracket on the level-set
-region and of the KL-bound solver over generated inputs."""
+region, of the KL-bound solver, of the exact p-value and of its
+correctly rounded sum over generated inputs."""
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +17,14 @@ from simplexcr import (
     covering_collection,
     enumerate_simplex,
     member_of_covering,
+    p_value,
     region_membership,
 )
 from simplexcr.core import (
     SimplexGrid,
     composition_rank,
     compositions_array,
+    exact_sum,
     kl_to_many,
     log_coefficients,
     log_weights,
@@ -41,6 +46,7 @@ from simplexcr.regions import (
 )
 
 from oracles import (
+    exact_p_value,
     kl_bernoulli_bounds_bisection,
     kl_end_allowance,
     levelset_membership_grid_kl_prune,
@@ -374,3 +380,81 @@ def test_kl_interval_ends_match_bisection(case, n, delta):
         allowance = kl_end_allowance(mean_hat, level, edge, end, ref)
         assert abs(end - ref) <= 1e-14 + allowance
         assert (ref - end if edge else end - ref) <= allowance
+
+
+@st.composite
+def nonnegative_float_arrays(draw):
+    """Up to about 5,000 nonnegative finite floats: a few drawn one by one,
+    then a seeded bulk of exp(-t) tails, of random exponents over a drawn
+    span of the whole range (subnormals included) or of raw bit patterns,
+    with a drawn share set to zero and a drawn share set to one repeated
+    value."""
+    head = draw(st.lists(st.floats(0.0, allow_infinity=False), max_size=8))
+    size = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("tail", "exponents", "bits")))
+    if kind == "tail":
+        bulk = np.exp(-rng.exponential(draw(st.floats(1.0, 400.0)), size))
+    elif kind == "exponents":
+        lo = draw(st.integers(-1080, 1023))
+        hi = draw(st.integers(lo, 1023))
+        bulk = np.ldexp(rng.random(size), rng.integers(lo, hi + 1, size))
+    else:
+        bulk = rng.integers(0, 0x7FF0_0000_0000_0000, size).view(np.float64)
+    bulk[rng.random(size) < draw(st.floats(0.0, 1.0))] = 0.0
+    if size:
+        bulk[rng.random(size) < draw(st.floats(0.0, 1.0))] = bulk[0]
+    return np.concatenate((head, bulk))
+
+
+def _sum_or_overflow(sum_fn, values):
+    try:
+        return repr(sum_fn(values))
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nonnegative_float_arrays())
+@example([1.0, 2**-53])
+@example([1.0, 2**-53, 2**-1074])
+@example([1 - 2**-53, 2**-54, 2**-54])
+@example([5e-324] * 3)
+@example([])
+@example([1.7976931348623157e308, 2.0**970])  # rounds half to even: overflows
+@example([1.7976931348623157e308, 2.0**969])
+def test_exact_sum_equals_fsum(values):
+    """core.exact_sum is math.fsum bit for bit on nonnegative finite
+    floats, half-even ties included; where the rounded sum overflows, both
+    raise OverflowError."""
+    want = _sum_or_overflow(math.fsum, values)
+    assert _sum_or_overflow(exact_sum, values) == want
+
+
+@st.composite
+def rational_p_value_cases(draw):
+    """A k = 2..4 outcome with n <= 8 and a rational point whose
+    coordinates have one denominator of at most 24; zero coordinates
+    allowed."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 8))
+    weights = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k))
+    if not any(weights):
+        weights[draw(st.integers(0, k - 1))] = 1
+    fracs = tuple(Fraction(w, sum(weights)) for w in weights)
+    cells = draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1))
+    cuts = sorted(cells)
+    counts = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+    return counts, fracs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_p_value_cases())
+def test_p_value_matches_rational_oracle(case):
+    """p_value agrees with the exact big-rational p-value, at the tolerance
+    of the hand-picked rational oracle test."""
+    counts, fracs = case
+    p = SimplexPoint(tuple(float(f) for f in fracs), normalize=True)
+    want = float(exact_p_value(counts, fracs))
+    got = p_value(EmpiricalDistribution(counts), p)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

@@ -41,6 +41,7 @@ from oracles import (
     levelset_membership_grid_kl_prune,
     min_covering_size_bruteforce,
     outer_bound_reject,
+    p_value_fsum,
     point_from_fractions,
     probability_ordering_lexsort,
     random_rational_point,
@@ -207,6 +208,51 @@ class TestPValue:
                 want = float(exact_p_value(counts, fracs))
                 got = p_value(EmpiricalDistribution(counts), p)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    # the (k, n) shapes of the benchmark's exact-queries workload
+    QUERY_SHAPES = (
+        (3, 20), (4, 10), (5, 8), (3, 60), (4, 25), (5, 20),
+        (3, 150), (4, 40), (3, 300), (5, 30), (3, 600), (5, 50),
+    )
+
+    @staticmethod
+    def _points(rng, k):
+        """A Dirichlet point, the uniform point and a point with a zero
+        coordinate."""
+        zero = list(rng.dirichlet(np.ones(k - 1)))
+        zero.insert(int(rng.integers(k)), 0.0)
+        return [
+            SimplexPoint(tuple(rng.dirichlet(np.ones(k))), normalize=True),
+            SimplexPoint.uniform(k),
+            SimplexPoint(tuple(zero), normalize=True),
+        ]
+
+    @staticmethod
+    def _assert_matches_fsum(phat, p):
+        got, want = p_value(phat, p), p_value_fsum(phat, p)
+        assert got == want and repr(got) == repr(want), (phat, p)
+        return got
+
+    def test_equals_fsum_form_bit_for_bit(self):
+        """The exponent-binned sum gives the p-value of the math.fsum form,
+        by == and by repr: every outcome at three small shapes, sampled
+        outcomes at each exact-queries shape. An outcome with a count on a
+        zero coordinate is impossible and gets exactly 0.0."""
+        rng = np.random.default_rng(53)
+        impossible = 0
+        for k, n in ((2, 30), (3, 12), (4, 7)):
+            for p in self._points(rng, k):
+                for phat in enumerate_simplex(k, n):
+                    self._assert_matches_fsum(phat, p)
+        for k, n in self.QUERY_SHAPES:
+            for p in self._points(rng, k):
+                for source in (p.probs, rng.dirichlet(np.ones(k))):
+                    phat = EmpiricalDistribution(tuple(rng.multinomial(n, source)))
+                    got = self._assert_matches_fsum(phat, p)
+                    if any(c and not q for c, q in zip(phat.counts, p.probs)):
+                        assert repr(got) == "0.0"
+                        impossible += 1
+        assert impossible >= 6
 
     def test_most_probable_outcome_under_uniform(self):
         # every outcome ties or falls below the modal tie class, so the sum

@@ -16,9 +16,7 @@ from .functionals import (
     empirical_bernstein_interval,
     functional_interval,
     hoeffding_interval,
-    induced_measure_sampler,
     kl_bernoulli_interval,
-    mixture_point_from_uniform,
     oracle_chernoff_interval,
 )
 from .regions import (
@@ -36,7 +34,6 @@ from .volume import (
     average_volume,
     covering_size_integral,
     region_volume,
-    uniform_prior_expected_volume,
 )
 
 __version__ = "0.1.0"
@@ -63,16 +60,13 @@ __all__ = [
     "enumerate_simplex",
     "functional_interval",
     "hoeffding_interval",
-    "induced_measure_sampler",
     "kl_bernoulli_interval",
     "lucb_run",
     "member_of_covering",
-    "mixture_point_from_uniform",
     "oracle_chernoff_interval",
     "p_value",
     "region_membership",
     "region_volume",
     "sanov_threshold",
     "simplex_size",
-    "uniform_prior_expected_volume",
 ]

@@ -59,11 +59,6 @@ class LinearFunctional:
             raise ValueError(f"dimension mismatch: {p.k} vs {self.k}")
         return float(math.fsum(v * x for v, x in zip(self.values, p.probs)))
 
-    @classmethod
-    def category_mean(cls, k: int) -> "LinearFunctional":
-        """The mean functional under vertex labels 0, 1, ..., k-1."""
-        return cls(tuple(float(i) for i in range(k)))
-
 
 @dataclass(frozen=True)
 class IntervalResult:
@@ -135,13 +130,11 @@ def functional_interval(
     holds the least and the greatest member value. For the level-set kind only the points that
     survive ``phat_mass_survivors`` over the whole grid are walked: a
     pruned point is a proven non-member, so the first member from each end
-    is the same. Membership is decided per point, so the interval is the
-    one a scan of the whole grid gives, up to the rounding of the kernel's
-    matrix product, which can depend on the chunk's size: at a point within
-    that rounding of the region's boundary the two scans can differ. For
-    k > 3 dense grids are infeasible and the scan tests all ``mc_draws``
-    uniform Dirichlet proposals instead (``seed`` required); the member
-    fraction is reported as ``scan_coverage``.
+    is the same. Membership is decided per point, whatever the chunk, so
+    the interval is the one a scan of the whole grid gives. For k > 3
+    dense grids are infeasible and the scan tests all ``mc_draws`` uniform
+    Dirichlet proposals instead (``seed`` required); the member fraction is
+    reported as ``scan_coverage``.
     """
     if f.k != phat.k:
         raise ValueError(f"dimension mismatch: {f.k} vs {phat.k}")
@@ -421,32 +414,3 @@ def _kl_bernoulli_end(mean_hat: float, level: float, edge: float) -> float:
         return min(1.0, max(mean_hat, sup))
     sup = _kl_ball_sup([-0.0, -1.0], w, level, start)[0]
     return max(0.0, min(mean_hat, -sup))
-
-
-def mixture_point_from_uniform(u: float) -> SimplexPoint:
-    """Deterministic map from u in [-1, 1] to the 3-simplex whose pushforward
-    under the mean functional p1 + 2 p2 is uniform on [0, 2]."""
-    if not -1.0 <= u <= 1.0:
-        raise ValueError(f"u must lie in [-1, 1], got {u}")
-    if u >= 0.0:
-        return SimplexPoint((u, 1.0 - u, 0.0))
-    return SimplexPoint((0.0, 1.0 + u, -u))
-
-
-def induced_measure_sampler(seed: int, size: int | None = None):
-    """Draw from the mixture measure on the 3-simplex that induces the
-    uniform measure on the mean's range [0, 2].
-
-    Returns a single SimplexPoint when ``size`` is None, otherwise a
-    (size, 3) array of simplex rows. Stateless given the seed.
-    """
-    rng = np.random.default_rng(seed)
-    if size is None:
-        return mixture_point_from_uniform(float(rng.uniform(-1.0, 1.0)))
-    u = rng.uniform(-1.0, 1.0, size=size)
-    pts = np.zeros((size, 3))
-    pos = u >= 0.0
-    pts[pos, 0] = u[pos]
-    pts[~pos, 2] = -u[~pos]
-    pts[:, 1] = 1.0 - pts[:, 0] - pts[:, 2]
-    return pts

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import EmpiricalDistribution, SimplexGrid, enumerate_simplex
 from .regions import RegionSpec, covering_sizes_grid, membership_grid
 
@@ -25,8 +23,6 @@ class VolumeReport:
     total: float
     construction: str
     grid_resolution: int
-    mc_draws: int | None = None
-    seed: int | None = None
 
 
 def region_volume(phat: EmpiricalDistribution, spec: RegionSpec, M: int) -> float:
@@ -58,28 +54,3 @@ def covering_size_integral(n: int, k: int, delta: float, M: int) -> float:
         raise ValueError("resolution must be >= 50 for a usable estimate")
     points = SimplexGrid(k, M).points
     return float(covering_sizes_grid(n, k, delta, points).mean())
-
-
-def uniform_prior_expected_volume(
-    spec: RegionSpec, M: int, draws: int, seed: int
-) -> VolumeReport:
-    """Monte-Carlo expected region volume when the parameter is drawn
-    uniformly from the simplex and the outcome is drawn from it."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    base = average_volume(spec, M)
-    by_counts = {phat.counts: vol for phat, vol in base.per_phat.items()}
-    rng = np.random.default_rng(seed)
-    ps = rng.dirichlet(np.ones(spec.k), size=draws)
-    total = 0.0
-    for p in ps:
-        counts = tuple(int(c) for c in rng.multinomial(spec.n, p))
-        total += by_counts[counts]
-    return VolumeReport(
-        per_phat=base.per_phat,
-        total=total / draws,
-        construction=spec.kind,
-        grid_resolution=M,
-        mc_draws=draws,
-        seed=seed,
-    )

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
 
 from simplexcr import (
     KINDS,
@@ -16,9 +15,7 @@ from simplexcr import (
     enumerate_simplex,
     functional_interval,
     hoeffding_interval,
-    induced_measure_sampler,
     kl_bernoulli_interval,
-    mixture_point_from_uniform,
     oracle_chernoff_interval,
 )
 from simplexcr import regions
@@ -47,10 +44,6 @@ class TestLinearFunctional:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             LinearFunctional((1.0, float("nan")))
-
-    def test_category_mean(self):
-        f = LinearFunctional.category_mean(4)
-        assert f.values == (0.0, 1.0, 2.0, 3.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -396,34 +389,3 @@ class TestKlBernoulliInterval:
                 assert iv.width < w_prev
             w_prev = iv.width
         assert w_prev < 0.03
-
-
-class TestInducedMeasure:
-    def test_midpoint(self):
-        p = mixture_point_from_uniform(0.0)
-        assert p.probs == (0.0, 1.0, 0.0)
-        assert p.probs[1] + 2 * p.probs[2] == 1.0
-
-    def test_vertices(self):
-        assert mixture_point_from_uniform(1.0).probs == (1.0, 0.0, 0.0)
-        assert mixture_point_from_uniform(-1.0).probs == (0.0, 0.0, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            mixture_point_from_uniform(1.5)
-
-    def test_single_draw_is_point(self):
-        p = induced_measure_sampler(seed=2)
-        assert isinstance(p, SimplexPoint)
-        assert p.k == 3
-
-    def test_deterministic_given_seed(self):
-        a = induced_measure_sampler(seed=9, size=50)
-        b = induced_measure_sampler(seed=9, size=50)
-        assert np.array_equal(a, b)
-
-    def test_pushforward_uniform_ks(self):
-        pts = induced_measure_sampler(seed=17, size=100_000)
-        m = pts[:, 1] + 2.0 * pts[:, 2]
-        stat = kstest(m, "uniform", args=(0.0, 2.0)).statistic
-        assert stat < 0.01

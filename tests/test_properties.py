@@ -42,6 +42,7 @@ from simplexcr.regions import (
     _probability_ordering,
     kl_ball_radius,
     levelset_membership_grid,
+    membership_grid,
     phat_mass_survivors,
 )
 
@@ -103,6 +104,72 @@ def test_scalar_grid_and_collection_agree(case):
             assert member_of_covering(phat, p, delta) == want
             assert region_membership(p, phat, spec) == want
             assert bool(in_grid) == want
+
+
+GEMM_SHAPE_NOTE = (
+    "one-row and many-row level-set answers differ; this check depends on "
+    "the BLAS build's matrix product giving each entry the same bits for "
+    "any number of columns from two up (fallback: a fixed-order sum "
+    "coef + c_0 w_0 + c_1 w_1 + ...)"
+)
+
+
+def test_one_row_and_two_row_answers_agree_at_a_boundary_point():
+    """A point within rounding of the level-set boundary, where a one-row
+    product run as a matrix-vector product rounds differently from a
+    two-row product: every entry point says False."""
+    phat = EmpiricalDistribution((9, 15))
+    delta = 0.5364805196294313
+    p = SimplexPoint((0.4596735846041373, 0.5403264153958627))
+    spec = RegionSpec(delta, "levelset", 24, 2)
+    rows = np.array([p.probs, SimplexPoint.uniform(2).probs])
+    assert phat not in covering_collection(p, 24, delta)
+    assert not membership_grid(phat, spec, rows)[0], GEMM_SHAPE_NOTE
+    assert not region_membership(p, phat, spec), GEMM_SHAPE_NOTE
+
+
+@st.composite
+def boundary_rays(draw):
+    """phat, delta log-uniform in [1e-4, 0.9] and a ray from phat's own
+    point, where phat is a member, to a point that gives one of phat's
+    positive counts probability 0, where it is not, at k from 2 to 5."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, (40, 20, 12, 8)[k - 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.multinomial(n, rng.dirichlet(np.ones(k)))
+    delta = draw(st.floats(-4.0, math.log10(0.9)).map(lambda e: 10.0**e))
+    end = rng.dirichlet(np.ones(k))
+    end[rng.choice(np.flatnonzero(counts))] = 0.0
+    phat = EmpiricalDistribution(tuple(int(c) for c in counts))
+    return phat, delta, counts / n, end / end.sum()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(boundary_rays(), st.permutations(range(16)))
+def test_one_row_and_many_row_answers_agree_on_the_boundary(case, perm):
+    """Bisect a ray onto the kernel's boundary with one-row calls, then
+    test the last 16 bisection points, all within rounding of the
+    boundary: a many-row call, the same call with its rows shuffled, and
+    each point's one-row call give the same bits."""
+    phat, delta, start, end = case
+
+    def one_row(t):
+        p = start + t * (end - start)
+        return bool(levelset_membership_grid(phat, delta, p[None, :])[0])
+
+    assert one_row(0.0) and not one_row(1.0)
+    lo, hi, tried = 0.0, 1.0, []
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        tried.append(mid)
+        lo, hi = (mid, hi) if one_row(mid) else (lo, mid)
+    ts = np.array(tried[-16:])
+    rows = start + ts[:, None] * (end - start)
+    single = [one_row(t) for t in ts]
+    many = levelset_membership_grid(phat, delta, rows)
+    shuffled = levelset_membership_grid(phat, delta, rows[list(perm)])
+    assert many.tolist() == single, GEMM_SHAPE_NOTE
+    assert shuffled.tolist() == [single[i] for i in perm], GEMM_SHAPE_NOTE
 
 
 @st.composite

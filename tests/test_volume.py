@@ -9,7 +9,6 @@ from simplexcr import (
     covering_size_integral,
     region_volume,
     simplex_size,
-    uniform_prior_expected_volume,
 )
 from simplexcr.regions import covering_sizes_grid
 
@@ -102,36 +101,3 @@ class TestCoveringSizeIntegral:
         total = average_volume(RegionSpec(0.3, "levelset", 4, 2), M).total
         integral = covering_size_integral(4, 2, 0.3, M)
         assert total == pytest.approx(integral, abs=3.0 / M)
-
-
-class TestUniformPrior:
-    def test_levelset_beats_baselines_in_expectation(self):
-        M, draws, seed = 200, 10_000, 101
-        reports = {
-            kind: uniform_prior_expected_volume(
-                RegionSpec(0.7, kind, 5, 3), M, draws, seed
-            )
-            for kind in ("levelset", "sanov", "polytope")
-        }
-        # paired per-draw differences share the (p, phat) stream via the seed
-        rng = np.random.default_rng(seed)
-        vols = {
-            kind: {ph.counts: v for ph, v in reports[kind].per_phat.items()}
-            for kind in reports
-        }
-        diffs_sanov = []
-        diffs_poly = []
-        for _ in range(draws):
-            p = rng.dirichlet(np.ones(3))
-            counts = tuple(int(c) for c in rng.multinomial(5, p))
-            diffs_sanov.append(vols["sanov"][counts] - vols["levelset"][counts])
-            diffs_poly.append(vols["polytope"][counts] - vols["levelset"][counts])
-        for diffs in (diffs_sanov, diffs_poly):
-            arr = np.asarray(diffs)
-            margin = arr.mean()
-            se = arr.std(ddof=1) / np.sqrt(draws)
-            assert margin > 2.0 * se
-        assert reports["levelset"].mc_draws == draws
-        assert reports["levelset"].seed == seed
-        assert reports["levelset"].total <= reports["sanov"].total
-        assert reports["levelset"].total <= reports["polytope"].total

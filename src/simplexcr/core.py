@@ -6,10 +6,11 @@ function. Exact big-rational cross-checks live in the test suite only.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from collections import OrderedDict, namedtuple
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -22,6 +23,21 @@ LOG_TIE_TOL = 1e-9
 
 #: most points of a scan grid or an outcome table; checked before either is built
 MAX_GRID_POINTS = 5_000_000
+
+# Bytes of read-only arrays kept between calls by compositions_array,
+# log_coefficients and _grid_points together, in one least-recently-used
+# order. Bytes, not a count: a count small enough to bound the memory of
+# tables at the cap thrashes on a mix of many small shapes. At the
+# MAX_GRID_POINTS cap an outcome table takes 8 k bytes a row and its log
+# coefficients 8 more, so this budget holds one k <= 5 table at the cap
+# together with its coefficients (240 MB). Beyond that, a shape's table
+# and coefficients evict each other and are rebuilt on alternate calls.
+# No float64 copy of a table is kept: the regions kernels still make
+# theirs per call.
+_CACHE_BYTES = (5 + 1) * 8 * MAX_GRID_POINTS
+
+# Values per block of exact_sum: bounds its temporaries to a few MB.
+_SUM_BLOCK = 1 << 16
 
 # Finite stand-in for log(0) in vectorized matmul paths. exp() of anything
 # at this scale underflows to exactly 0.0, and 0 * _LOG_ZERO is 0.0 rather
@@ -111,13 +127,77 @@ def simplex_size(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-@lru_cache(maxsize=8)
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
+
+
+class _ByteCache:
+    """Read-only arrays kept under the one _CACHE_BYTES budget, in one
+    least-recently-used order across every function it decorates.
+
+    Storing a new array evicts the least recently used others until the
+    total ``nbytes`` fits the budget; the array just stored is always kept,
+    even alone over the budget. A call that raises stores and evicts
+    nothing, but counts as a miss, as under ``functools.lru_cache``."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()  # (build, args) -> array
+        self._nbytes = 0
+
+    def __call__(self, build):
+        """Decorate ``build(*args) -> read-only array`` with this cache,
+        and with lru_cache's ``cache_info()`` (hits, misses, and the count
+        and bytes of ``build``'s entries) and ``cache_clear()``."""
+        entries = self._entries
+        hits = misses = 0
+
+        @functools.wraps(build)
+        def cached(*args):
+            nonlocal hits, misses
+            key = (build, args)
+            arr = entries.get(key)
+            if arr is not None:
+                hits += 1
+                entries.move_to_end(key)
+                return arr
+            misses += 1
+            arr = build(*args)
+            entries[key] = arr
+            self._nbytes += arr.nbytes
+            while self._nbytes > _CACHE_BYTES and len(entries) > 1:
+                self._nbytes -= entries.popitem(last=False)[1].nbytes
+            return arr
+
+        def own_keys() -> list:
+            return [key for key in entries if key[0] is build]
+
+        def cache_info() -> _CacheInfo:
+            own = [entries[key] for key in own_keys()]
+            return _CacheInfo(hits, misses, len(own), sum(a.nbytes for a in own))
+
+        def cache_clear() -> None:
+            nonlocal hits, misses
+            hits = misses = 0
+            for key in own_keys():
+                self._nbytes -= entries.pop(key).nbytes
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+
+
+_byte_cached = _ByteCache()
+
+
+@_byte_cached
 def compositions_array(k: int, n: int) -> np.ndarray:
     """All count vectors of Delta_{k,n} as a read-only (size, k) int64
     array in lexicographic order: index order breaks probability ties, and a
     row's index is its ``composition_rank``. Column by column, each partial
     row with rest units left is repeated rest + 1 times with values 0..rest.
-    More than MAX_GRID_POINTS rows are refused before allocating. Cached."""
+    More than MAX_GRID_POINTS rows are refused before allocating. Kept in
+    the byte-budgeted cache it shares with ``log_coefficients`` and the
+    grid points (least recently used evicted first; a refused call keeps
+    nothing); callers must not modify."""
     size = simplex_size(k, n)
     if size > MAX_GRID_POINTS:
         raise ValueError(
@@ -151,11 +231,12 @@ def composition_rank(counts: tuple[int, ...]) -> int:
     return rank
 
 
-@lru_cache(maxsize=8)
+@_byte_cached
 def log_coefficients(k: int, n: int) -> np.ndarray:
     """Log multinomial coefficients log(n! / prod c_j!) of the rows of
     ``compositions_array(k, n)``, in the same order, as a read-only array.
-    Cached; callers must not modify."""
+    Kept in the byte-budgeted cache it shares with ``compositions_array``
+    (least recently used evicted first); callers must not modify."""
     lg = gammaln(np.arange(n + 2))
     out = lg[n + 1] - lg[compositions_array(k, n) + 1].sum(axis=1)
     out.setflags(write=False)
@@ -241,32 +322,35 @@ def exact_sum(values) -> float:
     to even), equal to ``math.fsum(values)`` bit for bit.
 
     Each value is mant * 2**(e - 1075) exactly, with e the exponent field
-    (1 for subnormals and zero) and mant its 53-bit significand. The high
-    and low 26-bit halves of mant are summed per exponent by ``bincount``;
-    over at most 2**26 values every partial sum is an integer under 2**53,
-    so float64 holds it exactly. The bins are then added as one Python int,
-    and int / int true division rounds once. Raises ValueError on more
-    than 2**26 values, or on a value that is negative, -0.0, nan or inf.
+    (1 for subnormals and zero) and mant its 53-bit significand. Block by
+    block of _SUM_BLOCK values, so that the temporaries stay a block long,
+    the high and low 26-bit halves of mant are summed per exponent by
+    ``bincount``; every bin is an integer under 2**43, so float64 holds it
+    exactly. The bins are added into one Python int, and int / int true
+    division rounds once. Raises ValueError on a value that is negative,
+    -0.0, nan or inf.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    if len(bits) > 1 << 26:
-        raise ValueError(f"exact_sum takes at most 2**26 values, got {len(bits)}")
-    e = bits >> 52  # exponent field; the sign bit makes it negative
-    if len(e) and not (e.min() >= 0 and e.max() < 0x7FF):
-        raise ValueError("exact_sum takes nonnegative finite values")
-    np.maximum(e, 1, out=e)
-    mant = bits - ((e - 1) << 52)  # the implicit bit of a normal stays set
-    high = np.bincount(e, weights=mant >> 26)
-    low = np.bincount(e, weights=mant & ((1 << 26) - 1))
-    nz = np.flatnonzero(high + low)
     total = 0
-    for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
-        total += ((int(h) << 26) + int(lo)) << i
+    for start in range(0, len(bits), _SUM_BLOCK):
+        block = bits[start : start + _SUM_BLOCK]
+        e = block >> 52  # exponent field; the sign bit makes it negative
+        if not (e.min() >= 0 and e.max() < 0x7FF):
+            raise ValueError("exact_sum takes nonnegative finite values")
+        np.maximum(e, 1, out=e)
+        mant = block - ((e - 1) << 52)  # the implicit bit of a normal stays set
+        high = np.bincount(e, weights=mant >> 26)
+        low = np.bincount(e, weights=mant & ((1 << 26) - 1))
+        nz = np.flatnonzero(high + low)
+        for i, h, lo in zip(nz.tolist(), high[nz].tolist(), low[nz].tolist()):
+            total += ((int(h) << 26) + int(lo)) << i
     return total / (1 << 1075)
 
 
-@lru_cache(maxsize=8)
+@_byte_cached
 def _grid_points(k: int, resolution: int) -> np.ndarray:
+    """``compositions_array(k, resolution) / resolution``, read-only, kept
+    in the byte-budgeted cache it shares with the outcome tables."""
     pts = compositions_array(k, resolution) / float(resolution)
     pts.setflags(write=False)
     return pts

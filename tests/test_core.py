@@ -12,8 +12,10 @@ from simplexcr import (
     enumerate_simplex,
     simplex_size,
 )
+from simplexcr import core
 from simplexcr.core import (
     MAX_GRID_POINTS,
+    _grid_points,
     composition_rank,
     compositions_array,
     exact_sum,
@@ -127,6 +129,11 @@ class TestEnumeration:
     def test_compositions_array_refuses_oversized_table(self):
         # (3, 3161) has 5,000,703 rows, just past the budget
         assert simplex_size(3, 3161) > MAX_GRID_POINTS >= simplex_size(3, 3160)
+        for k, n in [(3, 5), (4, 6)]:
+            log_coefficients(k, n)
+        _grid_points(3, 4)
+        held = _cache_entries()
+        infos = [fn.cache_info() for fn in CACHED]
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=rf"\(3,3161\).*{MAX_GRID_POINTS}"):
@@ -135,6 +142,13 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000  # the table would take 120 MB
+        with pytest.raises(ValueError, match=r"\(3,3161\)"):
+            log_coefficients(3, 3161)
+        # nothing stored or evicted; each refused call counts as one miss
+        assert _cache_entries() == held
+        after = [fn.cache_info() for fn in CACHED]
+        assert [i._replace(misses=0) for i in after] == [i._replace(misses=0) for i in infos]
+        assert [i.misses - j.misses for i, j in zip(after, infos)] == [2, 1, 0]
 
     def test_log_coefficients_match_gammaln(self):
         for k, n in [(1, 7), (2, 0), (3, 0), (3, 40), (4, 12), (5, 9)]:
@@ -304,6 +318,108 @@ def test_kahan_cumsum_matches_fsum():
 def test_exact_sum_refuses_negative_and_nonfinite(values):
     with pytest.raises(ValueError):
         exact_sum(values)
+
+
+def test_exact_sum_in_blocks_equals_fsum_in_bounded_memory():
+    rng = np.random.default_rng(29)
+    values = np.ldexp(rng.random(200_000), rng.integers(-1074, 1000, 200_000))
+    assert len(values) > 3 * core._SUM_BLOCK
+    tracemalloc.start()
+    try:
+        got = exact_sum(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == math.fsum(values)
+    assert peak < 4_000_000  # one block's temporaries; the values take 1.6 MB
+
+
+#: the functions kept in the shared byte-budgeted cache
+CACHED = (compositions_array, log_coefficients, _grid_points)
+
+
+def _cache_entries() -> list:
+    """(key, id of array) of every cached entry, least recently used first."""
+    return [(key, id(arr)) for key, arr in core._byte_cached._entries.items()]
+
+
+@pytest.fixture
+def empty_caches():
+    for fn in CACHED:
+        fn.cache_clear()
+    yield
+    for fn in CACHED:
+        fn.cache_clear()
+
+
+def test_cache_info_counts_lookups(empty_caches):
+    """bench/worker.py's miss_ratio reads these two counters."""
+    compositions_array(3, 5)
+    compositions_array(3, 5)
+    compositions_array(3, 6)
+    info = compositions_array.cache_info()
+    assert type(info.hits) is int and type(info.misses) is int
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    compositions_array.cache_clear()
+    assert compositions_array.cache_info()[:3] == (0, 0, 0)
+
+
+def test_cache_holds_more_shapes_than_eight(empty_caches):
+    shapes = [(k, n) for k in (2, 3, 4) for n in (3, 5, 7, 9)]
+    assert len(shapes) == 12
+    for _ in range(2):
+        for k, n in shapes:
+            compositions_array(k, n)
+    info = compositions_array.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (12, 12, 12)
+
+
+def test_cache_evicts_least_recently_used_within_budget(empty_caches, monkeypatch):
+    budget = 1000
+    monkeypatch.setattr(core, "_CACHE_BYTES", budget)
+
+    def check_held():
+        infos = [fn.cache_info() for fn in CACHED]
+        held = sum(i.nbytes for i in infos)
+        assert held <= budget or sum(i.currsize for i in infos) == 1
+        return held
+
+    def misses():
+        return sum(fn.cache_info().misses for fn in CACHED)
+
+    # compositions_array(2, n) takes 16 (n + 1) bytes
+    a = compositions_array(2, 9)  # 160
+    compositions_array(2, 19)  # 320
+    compositions_array(2, 29)  # 480
+    assert check_held() == 960
+    assert compositions_array(2, 9) is a  # a is now the most recent
+    compositions_array(2, 14)  # 240 more: (2, 19) goes
+    assert check_held() == 880
+    before = misses()
+    for n in (29, 9, 14):
+        compositions_array(2, n)
+    assert misses() == before
+    compositions_array(2, 19)  # back, and (2, 29) goes
+    assert misses() == before + 1
+    assert check_held() == 720
+    compositions_array(2, 29)
+    assert misses() == before + 2
+    # a lone entry over the budget is kept, alone
+    big = compositions_array(2, 99)  # 1600
+    assert check_held() == 1600
+    assert compositions_array(2, 99) is big
+    # the budget is shared: a log_coefficients entry evicts a table
+    log_coefficients(2, 9)  # table (2, 9) at 160, then 80 of coefficients
+    assert check_held() == 240
+    assert compositions_array.cache_info().currsize == 1
+    assert log_coefficients.cache_info().currsize == 1
+
+
+def test_cached_arrays_are_read_only(empty_caches):
+    for _ in range(2):  # on the miss and on the hit
+        for arr in (compositions_array(3, 4), log_coefficients(3, 4), _grid_points(3, 4)):
+            assert not arr.flags.writeable
+    assert [fn.cache_info().hits for fn in CACHED] == [3, 1, 1]
 
 
 def test_composition_rank_is_row_index():

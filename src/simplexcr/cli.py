@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,52 +49,27 @@ from .volume import average_volume
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters; every field satisfies downstream
-    preconditions before any computation starts."""
+def _parse_list(cast, noun: str):
+    """An argparse type for a comma-separated list of ``cast`` values."""
 
-    subcommand: str
-    delta: float = 0.5
-    k: int | None = None
-    n: int | None = None
-    phat: tuple[int, ...] | None = None
-    p: tuple[float, ...] | None = None
-    construction: str = "levelset"
-    grid: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    mode: str = "membership"
-    n_list: tuple[int, ...] = ()
-    trials: int = 10
-    tolerance: float = 0.0
-    methods: tuple[str, ...] = field(default_factory=lambda: METHODS)
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+    return parse
+
+
+_parse_probs = _parse_list(float, "reals")
+_parse_int_list = _parse_list(int, "integers")
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    counts = _parse_int_list(text)
     if any(c < 0 for c in counts):
         raise argparse.ArgumentTypeError("counts must be nonnegative")
     return counts
-
-
-def _parse_probs(text: str) -> tuple[float, ...]:
-    try:
-        probs = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-    return probs
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _check_size(
@@ -163,7 +137,7 @@ def _boundary_rows(points: np.ndarray, member: np.ndarray, resolution: int) -> l
     return [[float(v) for v in pts[j]] for j in order]
 
 
-def cmd_region(config: RunConfig) -> int:
+def cmd_region(config: argparse.Namespace) -> int:
     phat = EmpiricalDistribution(config.phat)
     n, k = phat.n, phat.k
     if config.p is not None:
@@ -211,7 +185,7 @@ def cmd_region(config: RunConfig) -> int:
     return 0
 
 
-def cmd_covering(config: RunConfig) -> int:
+def cmd_covering(config: argparse.Namespace) -> int:
     p = SimplexPoint(config.p)
     collection = covering_collection(p, config.n, config.delta)
     members = compositions_array(p.k, config.n)[list(collection.rows)].tolist()
@@ -236,14 +210,14 @@ def cmd_covering(config: RunConfig) -> int:
     return 0
 
 
-def cmd_pvalue(config: RunConfig) -> int:
+def cmd_pvalue(config: argparse.Namespace) -> int:
     phat = EmpiricalDistribution(config.phat)
     p = SimplexPoint(config.p)
     sys.stdout.write(f"{p_value(phat, p)!r}\n")
     return 0
 
 
-def cmd_widths(config: RunConfig) -> int:
+def cmd_widths(config: argparse.Namespace) -> int:
     delta = config.delta
     values = LinearFunctional((0.0, 0.5, 1.0))
     header = ["n", "method", "lower", "upper", "width", "note"]
@@ -291,10 +265,9 @@ def _expand_samples(values: LinearFunctional, phat: EmpiricalDistribution) -> li
     return out
 
 
-def cmd_volume(config: RunConfig) -> int:
+def cmd_volume(config: argparse.Namespace) -> int:
     spec = RegionSpec(config.delta, config.construction, config.n, config.k)
-    resolution = config.grid or 300
-    report = average_volume(spec, resolution)
+    report = average_volume(spec, config.grid)
     if config.fmt == "csv":
         header = [f"c{i + 1}" for i in range(config.k)] + ["volume_fraction"]
         rows = [
@@ -319,7 +292,7 @@ def cmd_volume(config: RunConfig) -> int:
     return 0
 
 
-def cmd_bandit(config: RunConfig) -> int:
+def cmd_bandit(config: argparse.Namespace) -> int:
     arms = benchmark_arms()
     header = [
         "record",
@@ -374,10 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, *, delta_default=None) -> None:
-        p.add_argument("--delta", type=float, default=delta_default, help="error level in (0,1)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    def common(p: argparse.ArgumentParser, run, *, delta=0.5, fmt="csv") -> None:
+        p.add_argument("--delta", type=float, default=delta, help="error level in (0,1)")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt)
         p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(run=run)
 
     p_region = sub.add_parser("region", help="region membership dump or point query")
     p_region.add_argument("--phat", type=_parse_counts, required=True)
@@ -385,28 +359,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--construction", choices=KINDS + ("all",), default="levelset")
     p_region.add_argument("--grid", type=int)
     p_region.add_argument("--mode", choices=("membership", "boundary"), default="membership")
-    common(p_region)
+    common(p_region, cmd_region, fmt="json")
 
     p_cov = sub.add_parser("covering", help="list the covering collection of p")
     p_cov.add_argument("--p", type=_parse_probs, required=True)
     p_cov.add_argument("--n", type=int, required=True)
-    common(p_cov)
+    common(p_cov, cmd_covering)
 
     p_pv = sub.add_parser("pvalue", help="exact p-value of phat under p")
     p_pv.add_argument("--phat", type=_parse_counts, required=True)
     p_pv.add_argument("--p", type=_parse_probs, required=True)
+    p_pv.set_defaults(run=cmd_pvalue)
 
     p_w = sub.add_parser("widths", help="interval widths against sample size")
     p_w.add_argument("--n-list", type=_parse_int_list, required=True)
     p_w.add_argument("--grid", type=int)
-    common(p_w, delta_default=0.7)
+    common(p_w, cmd_widths, delta=0.7)
 
     p_vol = sub.add_parser("volume", help="per-outcome region volumes and total")
     p_vol.add_argument("--k", type=int, required=True)
     p_vol.add_argument("--n", type=int, required=True)
     p_vol.add_argument("--construction", choices=KINDS, default="levelset")
-    p_vol.add_argument("--grid", type=int)
-    common(p_vol)
+    p_vol.add_argument("--grid", type=int, default=300)
+    common(p_vol, cmd_volume, fmt="json")
 
     p_b = sub.add_parser("bandit", help="LUCB stopping-time table")
     p_b.add_argument("--trials", type=int, default=10)
@@ -418,88 +393,72 @@ def build_parser() -> argparse.ArgumentParser:
         default=METHODS,
         help="comma-separated subset of " + ",".join(METHODS),
     )
-    common(p_b, delta_default=0.05)
+    common(p_b, cmd_bandit, delta=0.05)
 
     return parser
 
 
-_COMMANDS = {
-    "region": cmd_region,
-    "covering": cmd_covering,
-    "pvalue": cmd_pvalue,
-    "widths": cmd_widths,
-    "volume": cmd_volume,
-    "bandit": cmd_bandit,
-}
-
-
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    payload = {
-        key: value
-        for key, value in vars(args).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    config = RunConfig(**payload)
-    if config.subcommand in ("region", "covering", "widths", "volume") and not (
-        0.0 < (config.delta or 0.0) < 1.0
-    ):
+def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Refuse, as usage errors and before any computation, arguments that
+    break a downstream precondition or ask for a table or grid of more than
+    MAX_GRID_POINTS points."""
+    command = args.subcommand
+    if "delta" in args and not 0.0 < args.delta < 1.0:
         parser.error("--delta must lie in (0, 1)")
-    if config.subcommand == "bandit":
-        if not 0.0 < config.delta < 1.0:
-            parser.error("--delta must lie in (0, 1)")
-        if config.trials < 1:
+    if command == "bandit":
+        if args.trials < 1:
             parser.error("--trials must be >= 1")
-        unknown = set(config.methods) - set(METHODS)
+        unknown = set(args.methods) - set(METHODS)
         if unknown:
             parser.error(f"unknown methods: {sorted(unknown)}")
-    if config.p is not None:
+        if math.isnan(args.tolerance):
+            parser.error("--tolerance must be a number, got nan")
+    p = getattr(args, "p", None)
+    if p is not None:
         try:
-            SimplexPoint(config.p)
+            SimplexPoint(p)
         except ValueError as exc:
             parser.error(f"--p is not a simplex point: {exc}")
-    if config.subcommand == "region":
-        if config.mode == "boundary" and len(config.phat) != 3:
+    if command == "region":
+        if args.mode == "boundary" and len(args.phat) != 3:
             parser.error("boundary mode requires k = 3")
-        if config.construction == "all" and config.p is not None:
+        if args.construction == "all" and p is not None:
             parser.error("point queries need a single --construction")
-        if config.p is not None and len(config.p) != len(config.phat):
+        if p is not None and len(p) != len(args.phat):
             parser.error("--p and --phat disagree on the number of categories")
-    if config.grid is not None and config.grid < 1:
+    grid = getattr(args, "grid", None)
+    if grid is not None and grid < 1:
         parser.error("--grid must be >= 1")
-    if config.subcommand == "region" and config.p is None:
-        resolution = config.grid or scan_resolution(sum(config.phat))
-        _check_size(parser, len(config.phat), resolution, "grid", "--grid")
-    if config.subcommand == "volume":
-        if config.k < 1 or config.n < 0:
+    if command == "region" and p is None:
+        resolution = grid or scan_resolution(sum(args.phat))
+        _check_size(parser, len(args.phat), resolution, "grid", "--grid")
+    if command == "volume":
+        if args.k < 1 or args.n < 0:
             parser.error("--k must be >= 1 and --n >= 0")
-        _check_size(parser, config.k, config.grid or 300, "grid", "--grid")
-        _check_size(parser, config.k, config.n, "outcome table", "--n")
-    if config.subcommand == "covering":
-        if config.n < 0:
+        _check_size(parser, args.k, grid, "grid", "--grid")
+        _check_size(parser, args.k, args.n, "outcome table", "--n")
+    if command == "covering":
+        if args.n < 0:
             parser.error("--n must be >= 0")
-        _check_size(parser, len(config.p), config.n, "outcome table", "--n")
-    if config.subcommand == "pvalue":
-        _check_size(parser, len(config.phat), sum(config.phat), "outcome table", "--phat")
-    if config.subcommand == "widths":
-        if any(n < 10 for n in config.n_list):
+        _check_size(parser, len(p), args.n, "outcome table", "--n")
+    if command == "pvalue":
+        _check_size(parser, len(args.phat), sum(args.phat), "outcome table", "--phat")
+    if command == "widths":
+        if any(n < 10 for n in args.n_list):
             parser.error("widths sweep needs n >= 10")
-        for n in config.n_list:
-            _check_size(parser, 3, config.grid or scan_resolution(n), "grid", "--grid")
-    # per-subcommand default output format
-    if "fmt" not in payload or payload.get("fmt") is None:
-        config.fmt = "json" if config.subcommand in ("region", "volume") else "csv"
-    return config
+        for n in args.n_list:
+            _check_size(parser, 3, grid or scan_resolution(n), "grid", "--grid")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args, parser)
+        _check_args(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[config.subcommand](config)
+        return args.run(args)
     except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

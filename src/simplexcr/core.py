@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
+import operator
 from collections import OrderedDict, namedtuple
 from dataclasses import InitVar, dataclass
 
@@ -48,12 +48,13 @@ _LOG_ZERO = -1e18
 @dataclass(frozen=True, order=True)
 class EmpiricalDistribution:
     """Per-category counts observed in a sample; an element of the discrete
-    simplex. Ordering is lexicographic on the count vector."""
+    simplex. Ordering is lexicographic on the count vector. Counts must be
+    integers, Python or NumPy; a float count raises TypeError."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(operator.index(c) for c in self.counts)
         if len(counts) < 1:
             raise ValueError("need at least one category")
         if any(c < 0 for c in counts):
@@ -80,9 +81,9 @@ class EmpiricalDistribution:
 class SimplexPoint:
     """A point of the probability simplex: nonnegative entries summing to 1.
 
-    Construction rejects vectors whose sum is off by more than SUM_TOL
-    unless ``normalize=True`` is passed; silent renormalization hides
-    caller bugs.
+    Construction rejects non-finite entries, and vectors whose sum is off by
+    more than SUM_TOL unless ``normalize=True`` is passed; silent
+    renormalization hides caller bugs.
     """
 
     probs: tuple[float, ...]
@@ -94,6 +95,8 @@ class SimplexPoint:
             raise ValueError("need at least one category")
         if any(x < 0.0 for x in probs):
             raise ValueError(f"probabilities must be nonnegative, got {probs}")
+        if not all(math.isfinite(x) for x in probs):
+            raise ValueError(f"probabilities must be finite, got {probs}")
         total = math.fsum(probs)
         if normalize:
             if total <= 0.0:
@@ -246,12 +249,6 @@ def log_coefficients(k: int, n: int) -> np.ndarray:
 def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
     """The rows of ``compositions_array(k, n)``, lexicographic, as empirical
     distributions. n = 0 gives the single all-zero count vector."""
-    size = simplex_size(k, n)
-    if size > sys.maxsize:
-        raise OverflowError(
-            f"enumerating Delta_({k},{n}) needs capacity for {size} elements, "
-            f"beyond the platform integer range {sys.maxsize}"
-        )
     rows = compositions_array(k, n).tolist()
     return [EmpiricalDistribution(tuple(r)) for r in rows]
 

@@ -72,6 +72,11 @@ class TestLucbBasics:
         with pytest.raises(ValueError):
             lucb_run(arms, 0.1, 0.0, "ucb1", seed=1)
 
+    def test_refuses_nan_tolerance(self):
+        # lcb >= ucb - nan is never true: such a run could only hit the cap
+        with pytest.raises(ValueError, match="tolerance"):
+            lucb_run(benchmark_arms(), 0.05, math.nan, "hoeffding", seed=1, sample_cap=200)
+
     def test_counts_account_for_every_sample(self):
         run = lucb_run(benchmark_arms(), 0.2, 0.0, "hoeffding", seed=11)
         assert sum(sum(c) for c in run.per_arm_counts) == run.stopping_time

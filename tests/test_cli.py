@@ -81,6 +81,64 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--phat", "1,2,2", "--p", "nan,0.5,0.5", "--delta", "0.5"),
+            ("pvalue", "--phat", "1,2,2", "--p", "nan,0.5,0.5"),
+            ("covering", "--p", "nan,0.5,0.5", "--n", "3"),
+        ],
+    )
+    def test_nan_probability_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_tolerance_exits_2(self, capsys, monkeypatch):
+        # a nan tolerance never stops a run; the cap keeps a miss quick
+        import simplexcr.cli as cli_mod
+
+        real = cli_mod.lucb_run
+        monkeypatch.setattr(
+            cli_mod, "lucb_run", lambda *a, **kw: real(*a, sample_cap=25, **kw)
+        )
+        code, out, err = run_cli(
+            capsys,
+            "bandit", "--trials", "1", "--seed", "1",
+            "--methods", "hoeffding", "--tolerance", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
+
+
+# Each subcommand's defaults: omitting the option gives the bytes of passing it.
+_DEFAULTS = {
+    "region": (("region", "--phat", "2,2,1", "--grid", "20"),
+               {"--delta": "0.5", "--format": "json"}),
+    "covering": (("covering", "--p", "0.5,0.5", "--n", "4"),
+                 {"--delta": "0.5", "--format": "csv"}),
+    "volume": (("volume", "--k", "2", "--n", "4"),
+               {"--delta": "0.5", "--format": "json", "--grid": "300"}),
+    "widths": (("widths", "--n-list", "20"),
+               {"--delta": "0.7", "--format": "csv"}),
+    "bandit": (("bandit", "--trials", "1", "--seed", "3", "--methods", "hoeffding"),
+               {"--delta": "0.05", "--format": "csv"}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_, opts) in _DEFAULTS.items() for option in opts],
+)
+def test_omitted_option_takes_its_default(capsys, command, option):
+    argv, defaults = _DEFAULTS[command]
+    omitted = run_cli(capsys, *argv)
+    explicit = run_cli(capsys, *argv, option, defaults[option])
+    assert omitted[0] == 0
+    assert omitted == explicit
+
 
 class TestPointQueries:
     def test_pvalue_of_sole_outcome(self, capsys):

@@ -50,6 +50,18 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             EmpiricalDistribution(())
 
+    def test_refuses_non_integral_counts(self):
+        with pytest.raises(TypeError):
+            EmpiricalDistribution((1.5, 2.9))
+        with pytest.raises(TypeError):
+            EmpiricalDistribution((1.0, 2.0))
+
+    def test_accepts_numpy_integer_counts(self):
+        counts = np.random.default_rng(0).multinomial(7, [0.2, 0.3, 0.5])
+        phat = EmpiricalDistribution(tuple(counts))
+        assert phat.counts == tuple(int(c) for c in counts)
+        assert all(type(c) is int for c in phat.counts)
+
     def test_ordering_is_lexicographic_and_total(self):
         a = EmpiricalDistribution((0, 4))
         b = EmpiricalDistribution((1, 3))
@@ -81,6 +93,18 @@ class TestSimplexPoint:
     def test_normalize_opt_in(self):
         p = SimplexPoint((2.0, 3.0, 5.0), normalize=True)
         assert p.probs == (0.2, 0.3, 0.5)
+
+    @pytest.mark.parametrize(
+        "probs, normalize",
+        [
+            ((math.nan, 0.5, 0.5), False),
+            ((math.nan,), True),
+            ((math.inf, 1.0), True),
+        ],
+    )
+    def test_rejects_non_finite(self, probs, normalize):
+        with pytest.raises(ValueError, match="finite"):
+            SimplexPoint(probs, normalize=normalize)
 
     def test_uniform(self):
         u = SimplexPoint.uniform(3)
@@ -114,7 +138,7 @@ class TestEnumeration:
         assert [e.counts for e in enumerate_simplex(3, 0)] == [(0, 0, 0)]
 
     def test_overflow_reports_capacity(self):
-        with pytest.raises(OverflowError, match="capacity"):
+        with pytest.raises(ValueError, match="more than"):
             enumerate_simplex(60, 60)
 
     def test_compositions_array_matches_iterator(self):

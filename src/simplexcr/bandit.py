@@ -170,8 +170,8 @@ def lucb_run(
         raise ValueError("need at least two arms")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if math.isnan(tolerance):
-        raise ValueError("tolerance must be a number, got nan")
+    if not tolerance >= 0.0:  # also refuses nan
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 

@@ -44,7 +44,7 @@ from .regions import (
     p_value,
     region_membership,
 )
-from .volume import average_volume
+from .volume import MIN_RESOLUTION, average_volume
 
 SCHEMA_VERSION = 1
 
@@ -347,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, run, *, delta=0.5, fmt="csv") -> None:
+    def common(p: argparse.ArgumentParser, run, *, delta=0.5, fmt=None) -> None:
         p.add_argument("--delta", type=float, default=delta, help="error level in (0,1)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt)
+        if fmt is not None:  # widths and bandit write CSV only
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=fmt)
         p.add_argument("--out", help="output path (default: stdout)")
         p.set_defaults(run=run)
 
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("covering", help="list the covering collection of p")
     p_cov.add_argument("--p", type=_parse_probs, required=True)
     p_cov.add_argument("--n", type=int, required=True)
-    common(p_cov, cmd_covering)
+    common(p_cov, cmd_covering, fmt="csv")
 
     p_pv = sub.add_parser("pvalue", help="exact p-value of phat under p")
     p_pv.add_argument("--phat", type=_parse_counts, required=True)
@@ -411,24 +412,25 @@ def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> No
         unknown = set(args.methods) - set(METHODS)
         if unknown:
             parser.error(f"unknown methods: {sorted(unknown)}")
-        if math.isnan(args.tolerance):
-            parser.error("--tolerance must be a number, got nan")
+        if not args.tolerance >= 0.0:
+            parser.error(f"--tolerance must be >= 0, got {args.tolerance}")
     p = getattr(args, "p", None)
     if p is not None:
         try:
             SimplexPoint(p)
         except ValueError as exc:
             parser.error(f"--p is not a simplex point: {exc}")
+        if "phat" in args and len(p) != len(args.phat):
+            parser.error("--p and --phat disagree on the number of categories")
     if command == "region":
         if args.mode == "boundary" and len(args.phat) != 3:
             parser.error("boundary mode requires k = 3")
         if args.construction == "all" and p is not None:
             parser.error("point queries need a single --construction")
-        if p is not None and len(p) != len(args.phat):
-            parser.error("--p and --phat disagree on the number of categories")
     grid = getattr(args, "grid", None)
-    if grid is not None and grid < 1:
-        parser.error("--grid must be >= 1")
+    least = MIN_RESOLUTION if command == "volume" else 1
+    if grid is not None and grid < least:
+        parser.error(f"--grid must be >= {least}")
     if command == "region" and p is None:
         resolution = grid or scan_resolution(sum(args.phat))
         _check_size(parser, len(args.phat), resolution, "grid", "--grid")

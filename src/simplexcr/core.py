@@ -258,8 +258,8 @@ def outcome_log_pmf(k: int, n: int, probs: np.ndarray) -> np.ndarray:
     under one p, with the coefficients read from the cached
     ``log_coefficients`` table. Rows with a positive count on a
     zero-probability category come back as exactly -inf."""
-    counts = compositions_array(k, n)
-    return _finite_to_inf(log_coefficients(k, n) + counts @ log_weights(probs))
+    logp = log_coefficients(k, n) + compositions_array(k, n) @ log_weights(probs)
+    return np.where(logp <= _LOG_ZERO / 2, -np.inf, logp)
 
 
 def log_weights(probs: np.ndarray) -> np.ndarray:
@@ -267,10 +267,6 @@ def log_weights(probs: np.ndarray) -> np.ndarray:
     at zero entries so that count-weighted sums stay nan-free."""
     p = np.asarray(probs, dtype=float)
     return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), _LOG_ZERO)
-
-
-def _finite_to_inf(logp: np.ndarray) -> np.ndarray:
-    return np.where(logp <= _LOG_ZERO / 2, -np.inf, logp)
 
 
 def kl_to_many(p: np.ndarray, rows: np.ndarray) -> np.ndarray:

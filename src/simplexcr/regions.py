@@ -8,15 +8,15 @@ regions are provided as baselines, together with the exact p-value. Each
 region has one membership path, membership_grid; the scalar
 region_membership is its one-row case. Level-set membership over many
 points is pruned by a bound on phat's own mass, written once in
-phat_mass_survivors: the kernel, levelset_membership_grid, prunes its
-points with it, and functionals.functional_interval prunes its whole scan
-grid with it and walks only the survivors. A pruned point is a proven
-non-member, so the prune cannot change an answer. kl_ball_radius restates
-the same rule as a KL ball around phat that holds every member. The kernel
-and covering_sizes_grid build their outcome-by-point matrices one block of
-about _BLOCK_ENTRIES entries at a time, so their memory does not grow with
-the number of points, and each block's matrix with _log_pmf_block, so a
-one-row call and a many-row call agree bit for bit.
+phat_mass_survivors: the kernel, levelset_membership_grid, prunes its points
+and its outcome rows by it (_phat_mass_row_cut), and
+functionals.functional_interval prunes its whole scan grid with it and walks
+only the survivors. Neither prune can change an answer. kl_ball_radius
+restates the rule as a KL ball around phat that holds every member. The
+kernel and covering_sizes_grid build their outcome-by-point matrices one
+block of about _BLOCK_ENTRIES entries at a time, so their memory does not
+grow with the number of points, and each block's matrix with _log_pmf_block,
+so a one-row call and a many-row call agree bit for bit.
 """
 from __future__ import annotations
 
@@ -234,13 +234,23 @@ def phat_mass_survivors(q: np.ndarray, num: int, delta: float) -> np.ndarray:
 
     In the membership rule of levelset_membership_grid, every outcome not
     ranked before phat has log-pmf at most q + LOG_TIE_TOL, so
-    1 - G <= num exp(q + LOG_TIE_TOL), and the kernel's floor lowers G by
-    at most delta * exp(-30). So if log num + q + LOG_TIE_TOL <= log(delta)
-    - log 2, the floored G is at least 1 - delta/2 - delta * exp(-30)
-    > 1 - delta and p is not a member. The margin of delta/2 dwarfs any
-    rounding in q, so the answer does not depend on how q was summed.
+    1 - G <= num exp(q + LOG_TIE_TOL). So if log num + q + LOG_TIE_TOL
+    <= log(delta) - log 2, G is at least 1 - delta/2 > 1 - delta and p is
+    not a member. The margin of delta/2 dwarfs any rounding in q, so the
+    answer does not depend on how q was summed.
     """
     return math.log(num) + q + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
+
+
+def _phat_mass_row_cut(num: int, delta: float) -> float:
+    """The kernel's row cut, from the prune's bound. At a survivor, an
+    outcome ranked before phat has log-pmf >= q - LOG_TIE_TOL > log(delta)
+    - log 2 - log num - 2 LOG_TIE_TOL. So an outcome whose log-pmf is at
+    most log(delta) - log num - 1 at every point of a block of survivors
+    is ranked before phat at none of them. The margin, 1 - log 2 -
+    2 LOG_TIE_TOL (about 0.31), dwarfs the rounding between the prune's q,
+    the kernel's q and the block's best-case row bound."""
+    return math.log(delta) - math.log(num) - 1.0
 
 
 def kl_ball_radius(counts, delta: float) -> float:
@@ -298,17 +308,15 @@ def levelset_membership_grid(
     under p is below 1 - delta. With D = log P_p(x) - log P_p(phat), x is
     ranked before phat when D > LOG_TIE_TOL, or when |D| <= LOG_TIE_TOL
     (the tie band) and x is lexicographically earlier: covering_collection's
-    order. G is an ``np.bincount`` sum of exp(log P_p(x)) per point. Rows at
-    or below the floor log(delta) - log(N) - 30 (N outcomes) are left out:
-    together they weigh at most delta * exp(-30), and leaving mass out only
-    lowers G, so the floor errs only toward inclusion. A point under which
-    phat alone has mass above delta is accepted, as G excludes phat.
+    order. G is an ``np.bincount`` sum of exp(log P_p(x)) per point. A point
+    under which phat alone has mass above delta is accepted, as G excludes
+    phat.
 
-    Points are pruned first by phat's own mass (phat_mass_survivors), which
-    changes no answer.
-
-    The survivors go through in blocks of max(1, _BLOCK_ENTRIES // N)
-    points, so one block's log-pmf matrix and its masks, a few MB, are
+    Points are pruned first by phat's own mass (phat_mass_survivors). The
+    survivors go through in blocks of max(1, _BLOCK_ENTRIES // N) points
+    (N outcomes), and a block keeps only the rows whose best-case log-pmf
+    over it passes the row cut (_phat_mass_row_cut); neither step changes
+    an answer. One block's log-pmf matrix and its masks, a few MB, are
     alive at a time. Every log-pmf comes from _log_pmf_block, whose bits do
     not depend on the block a point is in, so a one-row call and a
     many-row call give the same answer bit for bit.
@@ -332,9 +340,8 @@ def levelset_membership_grid(
     if len(cand) == 0:
         return member
 
-    target = 1.0 - delta
     log_delta = math.log(delta)
-    floor = log_delta - math.log(num) - 30.0
+    cut = _phat_mass_row_cut(num, delta)
     w = w[cand]
     counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
@@ -342,13 +349,9 @@ def levelset_membership_grid(
     for a in range(0, len(cand), block):
         cols = cand[a : a + block]
         wb = w[a : a + block]
-        # Candidate columns are contiguous in grid order, so they are close
-        # on the simplex and the per-block row bound prunes hard: any row
-        # whose best-case log-pmf over this block is below the floor can
-        # never be counted.
         top = wb if len(wb) == 1 else wb.max(axis=0, keepdims=True)
         row_bound = _log_pmf_block(logcoef, counts_f, top)[:, 0]
-        kept = row_bound > floor
+        kept = row_bound > cut
         kept[idx] = True
         new_idx = int(kept[:idx].sum())
         if len(wb) == 1:  # a one-point block's row bound is its log-pmf
@@ -357,15 +360,12 @@ def levelset_membership_grid(
             lp = _log_pmf_block(logcoef[kept], counts_f[kept], wb)
         lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
         q = lp[new_idx]
-        hi = q + LOG_TIE_TOL
-        lo = q - LOG_TIE_TOL
-        sel = (lp > hi) | ((lp <= hi) & (lp >= lo) & lex_earlier[:, None])
-        sel &= lp > floor
+        sel = (lp > q + LOG_TIE_TOL) | ((lp >= q - LOG_TIE_TOL) & lex_earlier[:, None])
         srows, scols = np.nonzero(sel)
         mass = np.bincount(
             scols, weights=np.exp(lp[srows, scols]), minlength=len(cols)
         )
-        member[cols] = (q > log_delta) | (mass < target)
+        member[cols] = (q > log_delta) | (mass < 1.0 - delta)
     return member
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .core import EmpiricalDistribution, SimplexGrid, enumerate_simplex
 from .regions import RegionSpec, covering_sizes_grid, membership_grid
 
+MIN_RESOLUTION = 50  # least grid resolution M for a usable estimate
+
 
 @dataclass(frozen=True)
 class VolumeReport:
@@ -27,16 +29,16 @@ class VolumeReport:
 
 def region_volume(phat: EmpiricalDistribution, spec: RegionSpec, M: int) -> float:
     """Fraction of the resolution-M grid inside the region of ``phat``."""
-    if M < 50:
-        raise ValueError("resolution must be >= 50 for a usable estimate")
+    if M < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
     points = SimplexGrid(spec.k, M).points
     return float(membership_grid(phat, spec, points).mean())
 
 
 def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
     """Sum of region volumes over every possible outcome."""
-    if M < 50:  # refused before the outcomes are enumerated
-        raise ValueError("resolution must be >= 50 for a usable estimate")
+    if M < MIN_RESOLUTION:  # refused before the outcomes are enumerated
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
     outcomes = enumerate_simplex(spec.k, spec.n)
     per_phat = {phat: region_volume(phat, spec, M) for phat in outcomes}
     return VolumeReport(
@@ -50,7 +52,7 @@ def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
 def covering_size_integral(n: int, k: int, delta: float, M: int) -> float:
     """Average covering-collection size over the grid: the independent side
     of the two-way counting identity for the summed region volumes."""
-    if M < 50:
-        raise ValueError("resolution must be >= 50 for a usable estimate")
+    if M < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
     points = SimplexGrid(k, M).points
     return float(covering_sizes_grid(n, k, delta, points).mean())

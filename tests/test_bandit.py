@@ -77,6 +77,13 @@ class TestLucbBasics:
         with pytest.raises(ValueError, match="tolerance"):
             lucb_run(benchmark_arms(), 0.05, math.nan, "hoeffding", seed=1, sample_cap=200)
 
+    @pytest.mark.parametrize("tolerance", [-0.5, -1.0, -math.inf])
+    def test_refuses_negative_tolerance(self, tolerance):
+        # LUCB's tolerance is nonnegative; at -1 the stop rule never holds
+        # and at -0.5 a run draws for a gap that may not open
+        with pytest.raises(ValueError, match="tolerance"):
+            lucb_run(benchmark_arms(), 0.05, tolerance, "hoeffding", seed=1, sample_cap=200)
+
     def test_counts_account_for_every_sample(self):
         run = lucb_run(benchmark_arms(), 0.2, 0.0, "hoeffding", seed=11)
         assert sum(sum(c) for c in run.per_arm_counts) == run.stopping_time

@@ -112,6 +112,58 @@ class TestUsageErrors:
         assert out == ""
         assert "--tolerance" in err
 
+    def test_negative_tolerance_exits_2(self, capsys, monkeypatch):
+        # below minus the payoff range the stop rule never holds; the cap
+        # keeps a miss quick
+        import simplexcr.cli as cli_mod
+
+        real = cli_mod.lucb_run
+        monkeypatch.setattr(
+            cli_mod, "lucb_run", lambda *a, **kw: real(*a, sample_cap=25, **kw)
+        )
+        code, out, err = run_cli(
+            capsys,
+            "bandit", "--trials", "1", "--seed", "1",
+            "--methods", "hoeffding", "--tolerance", "-1.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tolerance" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("widths", "--n-list", "20", "--format", "json"),
+            ("bandit", "--trials", "1", "--seed", "1", "--methods", "hoeffding",
+             "--format", "json"),
+        ],
+    )
+    def test_format_is_refused_where_only_csv_is_written(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pvalue", "--phat", "2,2", "--p", "0.3,0.3,0.4"),
+            ("region", "--phat", "2,2", "--p", "0.3,0.3,0.4"),
+        ],
+    )
+    def test_p_and_phat_of_different_k_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "disagree on the number of categories" in err
+
+    @pytest.mark.parametrize("grid", ["1", "49"])
+    def test_volume_grid_below_its_least_resolution_exits_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "volume", "--k", "2", "--n", "3", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "--grid must be >= 50" in err
+
 
 # Each subcommand's defaults: omitting the option gives the bytes of passing it.
 _DEFAULTS = {
@@ -121,10 +173,9 @@ _DEFAULTS = {
                  {"--delta": "0.5", "--format": "csv"}),
     "volume": (("volume", "--k", "2", "--n", "4"),
                {"--delta": "0.5", "--format": "json", "--grid": "300"}),
-    "widths": (("widths", "--n-list", "20"),
-               {"--delta": "0.7", "--format": "csv"}),
+    "widths": (("widths", "--n-list", "20"), {"--delta": "0.7"}),
     "bandit": (("bandit", "--trials", "1", "--seed", "3", "--methods", "hoeffding"),
-               {"--delta": "0.05", "--format": "csv"}),
+               {"--delta": "0.05"}),
 }
 
 

@@ -198,6 +198,42 @@ def test_phat_mass_prune_matches_kl_prune(case):
     assert np.array_equal(levelset_membership_grid(phat, delta, rows), want)
 
 
+@st.composite
+def row_cut_cases(draw):
+    """Shapes where the kernel's row cut keeps far fewer rows than the
+    oracle's floor: n log-uniform up to 3,000 at k = 2, 600 at k = 3 and
+    40 at k = 4 and 5. delta is log-uniform in [1e-8, 0.95]; the points are
+    drawn around phat at spreads from a tenth to ten times its own, and
+    some get a zero coordinate. Drawn from one seeded generator, so that
+    large n and small delta are as likely as small n and large delta."""
+    k = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(round((3000, 600, 40, 40)[k - 2] ** rng.uniform()))
+    counts = rng.multinomial(n, rng.dirichlet(np.ones(k)))
+    delta = 10.0 ** rng.uniform(-8.0, math.log10(0.95))
+    points = []
+    for spread in 10.0 ** rng.uniform(-1.0, 1.0, size=rng.integers(1, 7)):
+        p = rng.dirichlet((counts + 0.5) / spread**2 + 0.05)
+        if rng.random() < 0.2:
+            p[rng.integers(k)] = 0.0
+        points.append(p / p.sum() if p.sum() > 0.0 else np.full(k, 1.0 / k))
+    phat = EmpiricalDistribution(tuple(int(c) for c in counts))
+    return phat, delta, np.array(points)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(row_cut_cases())
+def test_row_cut_matches_the_floor_oracle(case):
+    """The kernel's row cut by the prune's own bound gives the bits of the
+    oracle, which keeps the rows above the floor log(delta) - log N - 30:
+    the many-row answer and each one-row answer."""
+    phat, delta, rows = case
+    want = levelset_membership_grid_kl_prune(phat, delta, rows)
+    assert np.array_equal(levelset_membership_grid(phat, delta, rows), want)
+    for row, bit in zip(rows, want):
+        assert levelset_membership_grid(phat, delta, row[None, :])[0] == bit
+
+
 def log_uniform_deltas(top):
     return st.floats(-12.0, math.log10(top)).map(lambda e: 10.0**e)
 

@@ -201,11 +201,8 @@ def cmd_covering(config: argparse.Namespace) -> int:
         _write_text(config.out, _json_text(payload))
         return 0
     header = ["rank"] + [f"c{i + 1}" for i in range(p.k)] + ["probability", "cumulative"]
-    rows = []
-    prev = 0.0
-    for rank, (m, cum) in enumerate(zip(members, collection.cumulative), start=1):
-        rows.append([rank, *m, repr(cum - prev), repr(cum)])
-        prev = cum
+    columns = zip(members, collection.probabilities, collection.cumulative)
+    rows = [[rank, *m, repr(pr), repr(cum)] for rank, (m, pr, cum) in enumerate(columns, 1)]
     _write_text(config.out, _csv_text(header, rows))
     return 0
 

@@ -292,24 +292,6 @@ def kl_bernoulli_many(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return t1 + t2
 
 
-def kahan_cumsum(values: np.ndarray, target: float) -> np.ndarray:
-    """Running sums with Kahan compensation, up to and including the first
-    one that reaches ``target`` (all of them if none does); the 1 - delta
-    comparisons downstream must not flip on accumulated rounding."""
-    out = []
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out.append(total)
-        if total >= target:
-            break
-    return np.array(out, dtype=float)
-
-
 def exact_sum(values) -> float:
     """The correctly rounded sum of nonnegative finite float64 values (half
     to even), equal to ``math.fsum(values)`` bit for bit.

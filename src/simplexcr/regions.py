@@ -20,6 +20,7 @@ so a one-row call and a many-row call agree bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +34,6 @@ from .core import (
     composition_rank,
     compositions_array,
     exact_sum,
-    kahan_cumsum,
     kl_bernoulli_many,
     kl_to_many,
     log_coefficients,
@@ -77,10 +77,15 @@ class CoveringCollection:
     cumulative mass reaches 1 - delta. Ties in probability are ordered
     lexicographically on counts, so the collection is deterministic. Held as
     row indices into ``compositions_array(k, n)``; ``members`` is built on
-    first use, and ``phat in c`` looks up phat's ``composition_rank``."""
+    first use, and ``phat in c`` looks up phat's ``composition_rank``.
+    ``probabilities`` are the members' probabilities under p; ``cumulative``
+    their float running sums, except that its last two entries, the masses
+    of the prefix less its last member (below 1 - delta) and of the whole
+    prefix (``total_mass``, at least 1 - delta), are correctly rounded."""
 
     rows: tuple[int, ...]
     n: int
+    probabilities: tuple[float, ...]
     cumulative: tuple[float, ...]
     total_mass: float
     p: SimplexPoint
@@ -116,15 +121,14 @@ class CoveringCollection:
 
 
 def _probability_ordering(logp: np.ndarray) -> np.ndarray:
-    """Indices sorting outcomes by probability descending; outcomes whose
-    log-probabilities agree within LOG_TIE_TOL, chained along the sorted
-    values, are ordered lexicographically ascending, which for the rows of
-    compositions_array is index order."""
+    """Indices sorting outcomes by probability descending; runs of sorted
+    neighbours s_i <= s_(i+1) + LOG_TIE_TOL (the kernel's tie test; -inf
+    ties -inf) are ordered lexicographically ascending, which for the rows
+    of compositions_array is index order."""
     num = len(logp)
     order = np.argsort(-logp)
     s = logp[order]
-    with np.errstate(invalid="ignore"):  # -inf - -inf; caught by ==
-        tie = (s[:-1] - s[1:] <= LOG_TIE_TOL) | (s[:-1] == s[1:])
+    tie = s[:-1] <= s[1:] + LOG_TIE_TOL
     run = np.zeros(num, dtype=np.int64)
     np.cumsum(~tie, out=run[1:])
     run *= num  # near-tie run id first, row index second: fits int64
@@ -134,20 +138,29 @@ def _probability_ordering(logp: np.ndarray) -> np.ndarray:
     return run
 
 
-def covering_collection(
-    p: SimplexPoint, n: int, delta: float
-) -> CoveringCollection:
+def covering_collection(p: SimplexPoint, n: int, delta: float) -> CoveringCollection:
     """Build the covering collection for p at error level delta: order the
-    n-sample outcomes by probability under p and keep the shortest prefix
-    with mass at least 1 - delta."""
+    n-sample outcomes by probability under p (the kernel's log-pmf) and keep
+    the shortest prefix whose correctly rounded mass reaches 1 - delta,
+    bisected on a float cumsum that exact_sum redoes in its _near_target band."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    logp = outcome_log_pmf(p.k, n, p.as_array())
+    coef, w = log_coefficients(p.k, n), log_weights(p.as_array())[None, :]
+    logp = _log_pmf_block(coef, compositions_array(p.k, n).astype(float), w)[:, 0]
     order = _probability_ordering(logp)
-    cum = kahan_cumsum(np.exp(logp[order]), 1.0 - delta)
+    pr = np.exp(logp[order])
+    cum = np.cumsum(pr)
+    target = 1.0 - delta
+    near = lambda i: _near_target(cum[i], len(cum), target)
+    mass = lambda i: exact_sum(pr[: i + 1]) if near(i) else cum[i]
+    size = bisect.bisect_left(range(len(cum) - 1), target, key=mass) + 1
+    probabilities = pr[:size].tolist()  # fsum of a list: exact_sum's bits, cheaper
+    cum = cum[:size]
+    cum[-2:] = [math.fsum(probabilities[:i]) for i in range(max(size - 1, 1), size + 1)]
     return CoveringCollection(
-        rows=tuple(order[: len(cum)].tolist()),
+        rows=tuple(order[:size].tolist()),
         n=n,
+        probabilities=tuple(probabilities),
         cumulative=tuple(cum.tolist()),
         total_mass=float(cum[-1]),
         p=p,
@@ -267,6 +280,16 @@ def kl_ball_radius(counts, delta: float) -> float:
     return _kl_ball_offset(counts) + math.log(2.0 / delta)
 
 
+def _near_target(mass: np.ndarray, m: int, target: float) -> np.ndarray:
+    """Whether a float running sum ``mass`` of m or fewer nonnegative terms
+    lies within 2 m u mass of target (u = 2^-53). Outside that band it
+    compares with target as its exact sum S, correctly rounded, does: it
+    errs by less than (m - 1) u mass (1 + 2 m u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2), and the rest of the band covers
+    the test's own rounding and keeps S < target (1 - u), which rounds below."""
+    return np.abs(mass - target) <= (m * 2.0**-52) * mass
+
+
 def _kl_ball_offset(counts) -> float:
     """The radius less its last term, log(2 / delta)."""
     c = [int(x) for x in counts]
@@ -277,9 +300,7 @@ def _kl_ball_offset(counts) -> float:
     return log_c - n_entropy + log_num + LOG_TIE_TOL
 
 
-def _log_pmf_block(
-    coef: np.ndarray, counts_f: np.ndarray, w: np.ndarray
-) -> np.ndarray:
+def _log_pmf_block(coef: np.ndarray, counts_f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """coef + counts_f @ w.T: the log-pmf of every row of counts_f, float
     counts with log coefficients coef, under each point of a block whose
     log weights are the rows of w. numpy runs a one-column product as a
@@ -305,12 +326,11 @@ def levelset_membership_grid(
     kernel behind every level-set membership answer.
 
     p is in the region iff the mass G of the outcomes ranked before phat
-    under p is below 1 - delta. With D = log P_p(x) - log P_p(phat), x is
-    ranked before phat when D > LOG_TIE_TOL, or when |D| <= LOG_TIE_TOL
-    (the tie band) and x is lexicographically earlier: covering_collection's
-    order. G is an ``np.bincount`` sum of exp(log P_p(x)) per point. A point
-    under which phat alone has mass above delta is accepted, as G excludes
-    phat.
+    under p, correctly rounded, is below 1 - delta. With q = log P_p(phat),
+    x is ranked before phat when log P_p(x) > q + LOG_TIE_TOL, or when x is
+    lexicographically earlier and log P_p(x) + LOG_TIE_TOL >= q, as in
+    covering_collection's order. G is summed by ``np.bincount`` in row order,
+    and again by exact_sum where it lies in the _near_target band of 1 - delta.
 
     Points are pruned first by phat's own mass (phat_mass_survivors). The
     survivors go through in blocks of max(1, _BLOCK_ENTRIES // N) points
@@ -340,7 +360,7 @@ def levelset_membership_grid(
     if len(cand) == 0:
         return member
 
-    log_delta = math.log(delta)
+    target = 1.0 - delta
     cut = _phat_mass_row_cut(num, delta)
     w = w[cand]
     counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
@@ -358,14 +378,15 @@ def levelset_membership_grid(
             lp = row_bound[kept][:, None]
         else:
             lp = _log_pmf_block(logcoef[kept], counts_f[kept], wb)
-        lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
         q = lp[new_idx]
-        sel = (lp > q + LOG_TIE_TOL) | ((lp >= q - LOG_TIE_TOL) & lex_earlier[:, None])
+        sel = lp > q + LOG_TIE_TOL
+        sel[:new_idx] |= lp[:new_idx] + LOG_TIE_TOL >= q  # rows stay in lex order
         srows, scols = np.nonzero(sel)
-        mass = np.bincount(
-            scols, weights=np.exp(lp[srows, scols]), minlength=len(cols)
-        )
-        member[cols] = (q > log_delta) | (mass < 1.0 - delta)
+        terms = np.exp(lp[srows, scols])
+        mass = np.bincount(scols, weights=terms, minlength=len(cols))
+        member[cols] = mass < target
+        for j in np.flatnonzero(_near_target(mass, len(lp), target)):
+            member[cols[j]] = exact_sum(terms[scols == j]) < target
     return member
 
 

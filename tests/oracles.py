@@ -323,9 +323,9 @@ def kl_end_allowance(
 
 
 def probability_ordering_lexsort(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
-    """Indices sorting outcomes by probability descending; outcomes whose
-    log-probabilities agree within LOG_TIE_TOL are ordered lexicographically
-    ascending on their count vectors."""
+    """Indices sorting outcomes by probability descending; runs of sorted
+    neighbours a >= b with a <= b + LOG_TIE_TOL are ordered
+    lexicographically ascending on their count vectors."""
     k = counts.shape[1]
     keys = [counts[:, j] for j in range(k - 1, -1, -1)] + [-logp]
     order = np.lexsort(keys)
@@ -338,7 +338,7 @@ def probability_ordering_lexsort(counts: np.ndarray, logp: np.ndarray) -> np.nda
         boundary = i == m
         if not boundary:
             a, b = sorted_logp[i - 1], sorted_logp[i]
-            boundary = not (a == b or a - b <= LOG_TIE_TOL)
+            boundary = not a <= b + LOG_TIE_TOL  # -inf <= -inf + LOG_TIE_TOL
         if boundary:
             if i - start > 1:
                 run = order[start:i]

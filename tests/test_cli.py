@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from simplexcr import EmpiricalDistribution, RegionSpec, SimplexPoint, average_volume
 from simplexcr.cli import main
 
-from oracles import p_value_fsum
+from oracles import exact_pmf, p_value_fsum
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,16 @@ class TestCovering:
         payload = json.loads(out)
         assert payload["schema_version"] == 1
         assert payload["total_mass"] >= 0.7
+
+    def test_probability_column_is_each_members_pmf(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "covering", "--p", "0.9,0.07,0.03", "--n", "60", "--delta", "1e-9"
+        )
+        assert code == 0
+        probs = (Fraction(0.9), Fraction(0.07), Fraction(0.03))
+        for row in list(csv.reader(out.splitlines()))[1:]:
+            want = float(exact_pmf([int(c) for c in row[1:4]], probs))
+            assert float(row[4]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestWidths:

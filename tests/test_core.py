@@ -19,7 +19,6 @@ from simplexcr.core import (
     composition_rank,
     compositions_array,
     exact_sum,
-    kahan_cumsum,
     kl_bernoulli_many,
     log_coefficients,
     outcome_log_pmf,
@@ -322,18 +321,6 @@ class TestSimplexGrid:
             SimplexGrid(0, 10)
         with pytest.raises(ValueError):
             SimplexGrid(3, 0)
-
-
-def test_kahan_cumsum_matches_fsum():
-    rng = np.random.default_rng(13)
-    vals = rng.random(5000) * 1e-6
-    cum = kahan_cumsum(vals, math.inf)
-    assert cum[-1] == pytest.approx(math.fsum(vals), abs=1e-18)
-    assert cum[10] == pytest.approx(math.fsum(vals[:11]), abs=1e-18)
-    target = float(cum[2500])
-    prefix = kahan_cumsum(vals, target)
-    first = int(np.flatnonzero(cum >= target)[0])
-    assert np.array_equal(prefix, cum[: first + 1])
 
 
 @pytest.mark.parametrize(

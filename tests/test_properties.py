@@ -144,32 +144,63 @@ def boundary_rays(draw):
     return phat, delta, counts / n, end / end.sum()
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(boundary_rays(), st.permutations(range(16)))
-def test_one_row_and_many_row_answers_agree_on_the_boundary(case, perm):
-    """Bisect a ray onto the kernel's boundary with one-row calls, then
-    test the last 16 bisection points, all within rounding of the
-    boundary: a many-row call, the same call with its rows shuffled, and
-    each point's one-row call give the same bits."""
-    phat, delta, start, end = case
+def one_row(phat, delta, p):
+    return bool(levelset_membership_grid(phat, delta, np.asarray(p)[None, :])[0])
 
-    def one_row(t):
-        p = start + t * (end - start)
-        return bool(levelset_membership_grid(phat, delta, p[None, :])[0])
 
-    assert one_row(0.0) and not one_row(1.0)
+def boundary_points(phat, delta, start, end):
+    """Bisect the ray from start, a member, to end, a non-member, onto the
+    kernel's boundary with one-row calls, and return the last 16 bisection
+    points, all within rounding of the boundary."""
+    assert one_row(phat, delta, start) and not one_row(phat, delta, end)
     lo, hi, tried = 0.0, 1.0, []
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         tried.append(mid)
-        lo, hi = (mid, hi) if one_row(mid) else (lo, mid)
-    ts = np.array(tried[-16:])
-    rows = start + ts[:, None] * (end - start)
-    single = [one_row(t) for t in ts]
+        if one_row(phat, delta, start + mid * (end - start)):
+            lo = mid
+        else:
+            hi = mid
+    return start + np.array(tried[-16:])[:, None] * (end - start)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(boundary_rays(), st.permutations(range(16)))
+def test_one_row_and_many_row_answers_agree_on_the_boundary(case, perm):
+    """On the last 16 bisection points of a ray, all within rounding of
+    the boundary, a many-row call, the same call with its rows shuffled,
+    and each point's one-row call give the same bits."""
+    phat, delta, start, end = case
+    rows = boundary_points(phat, delta, start, end)
+    single = [one_row(phat, delta, row) for row in rows]
     many = levelset_membership_grid(phat, delta, rows)
     shuffled = levelset_membership_grid(phat, delta, rows[list(perm)])
     assert many.tolist() == single, GEMM_SHAPE_NOTE
     assert shuffled.tolist() == [single[i] for i in perm], GEMM_SHAPE_NOTE
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(boundary_rays())
+@example(  # reaches p = (0.46875000024902297, 0.531249999750977)
+    (EmpiricalDistribution((14, 17)), 0.8946178760692466, np.array([14, 17]) / 31,
+     np.array([1.0, 0.0]))
+)
+def test_kernel_and_collection_agree_on_the_boundary(case):
+    """Region/collection duality within rounding of the boundary: on the
+    last 16 bisection points of a ray, normalized through SimplexPoint so
+    that both sides see the same floats, the one-row kernel, the many-row
+    kernel and phat in covering_collection give the same answer. The two
+    sides share the log-pmf product, the tie test's arithmetic and the
+    correctly rounded mass comparison; a difference in any of them makes
+    some of these points disagree."""
+    phat, delta, start, end = case
+    rows = boundary_points(phat, delta, start, end)
+    points = [SimplexPoint(tuple(row), normalize=True) for row in rows]
+    many = levelset_membership_grid(phat, delta, np.array([p.probs for p in points]))
+    for p, in_many in zip(points, many):
+        want = phat in covering_collection(p, phat.n, delta)
+        assert one_row(phat, delta, p.probs) == want
+        assert bool(in_many) == want
 
 
 @st.composite

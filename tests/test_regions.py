@@ -100,8 +100,30 @@ class TestCoveringCollection:
             delta = float(rng.uniform(0.05, 0.9))
             cc = covering_collection(p, 7, delta)
             assert cc.total_mass >= 1.0 - delta
+            assert cc.total_mass == cc.cumulative[-1] == math.fsum(cc.probabilities)
             if len(cc) > 1:
                 assert cc.cumulative[-2] < 1.0 - delta
+                assert cc.cumulative[-2] == math.fsum(cc.probabilities[:-1])
+
+    def test_delta_at_a_prefix_mass(self):
+        """At 1 - delta equal to the correctly rounded mass M of a prefix,
+        the collection is that prefix, the kernel accepts its last member
+        and refuses the next outcome, whose G is M. Both sides compare the
+        correctly rounded mass, which a float sum may put on either side."""
+        rng = np.random.default_rng(31)
+        for k, n in [(2, 40), (3, 15), (3, 24), (4, 10)]:
+            p = SimplexPoint(tuple(rng.dirichlet(np.ones(k))), normalize=True)
+            full = covering_collection(p, n, 1e-3)
+            for i in range(1, len(full) - 1):
+                mass = math.fsum(full.probabilities[:i])
+                below = math.fsum(full.probabilities[: i - 1])
+                if not 0.5 <= mass < 1.0 or below == mass:
+                    continue
+                delta = 1.0 - mass  # exact on [0.5, 1], and so is 1 - delta
+                cc = covering_collection(p, n, delta)
+                assert len(cc) == i and cc.total_mass == mass
+                assert member_of_covering(full.members[i - 1], p, delta)
+                assert not member_of_covering(full.members[i], p, delta)
 
     def test_probability_descending_with_lex_ties(self):
         cc = covering_collection(UNIFORM3, 5, 0.7)

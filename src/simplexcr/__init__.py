@@ -4,6 +4,7 @@ induced intervals for linear functionals, and a best-arm bandit harness."""
 from .bandit import METHODS, Arm, BanditRun, benchmark_arms, lucb_run
 from .core import (
     EmpiricalDistribution,
+    OverBudgetError,
     SimplexGrid,
     SimplexPoint,
     enumerate_simplex,
@@ -48,6 +49,7 @@ __all__ = [
     "KINDS",
     "LinearFunctional",
     "METHODS",
+    "OverBudgetError",
     "RegionSpec",
     "SimplexGrid",
     "SimplexPoint",

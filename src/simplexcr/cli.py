@@ -4,8 +4,9 @@ interval-width sweeps, volume reports, and bandit stopping-time tables.
 Outputs are machine readable: CSV (with a header row) for tabular sweeps,
 JSON (with a schema_version field) for structured region dumps, always
 UTF-8 with LF line endings. Exit codes: 0 success, 1 computational
-failure, 2 usage error. Output files are written only after the full
-computation succeeds, so invalid input never leaves partial files behind.
+failure, 2 usage error, which includes a grid or outcome table over the
+MAX_GRID_POINTS budget. Output is written only after the full computation
+succeeds, so invalid input never leaves partial output behind.
 """
 from __future__ import annotations
 
@@ -20,12 +21,11 @@ import numpy as np
 
 from .bandit import METHODS, benchmark_arms, lucb_run
 from .core import (
-    MAX_GRID_POINTS,
     EmpiricalDistribution,
+    OverBudgetError,
     SimplexGrid,
     SimplexPoint,
     compositions_array,
-    simplex_size,
 )
 from .functionals import (
     LinearFunctional,
@@ -70,13 +70,6 @@ def _parse_counts(text: str) -> tuple[int, ...]:
     if any(c < 0 for c in counts):
         raise argparse.ArgumentTypeError("counts must be nonnegative")
     return counts
-
-
-def _check_size(
-    parser: argparse.ArgumentParser, k: int, n: int, table: str, knob: str
-) -> None:
-    if simplex_size(k, n) > MAX_GRID_POINTS:
-        parser.error(f"{table} has more than {MAX_GRID_POINTS} points; lower {knob}")
 
 
 def _write_text(out: str | None, content: str) -> None:
@@ -133,8 +126,7 @@ def _boundary_rows(points: np.ndarray, member: np.ndarray, resolution: int) -> l
     # project to the plane for angular ordering; coordinates stay barycentric
     x = pts[:, 1] + 0.5 * pts[:, 2] - (centroid[1] + 0.5 * centroid[2])
     y = (math.sqrt(3.0) / 2.0) * (pts[:, 2] - centroid[2])
-    order = np.argsort(np.arctan2(y, x))
-    return [[float(v) for v in pts[j]] for j in order]
+    return pts[np.argsort(np.arctan2(y, x))].tolist()
 
 
 def cmd_region(config: argparse.Namespace) -> int:
@@ -165,18 +157,11 @@ def cmd_region(config: argparse.Namespace) -> int:
             payload = dict(common, boundary=_boundary_rows(points, member, resolution))
             text = _json_text(payload)
         elif config.fmt == "json":
-            payload = dict(
-                common,
-                points=[[float(v) for v in row] for row in points],
-                member=[int(m) for m in member],
-            )
+            payload = dict(common, points=points.tolist(), member=member.astype(int).tolist())
             text = _json_text(payload)
         else:
             header = [f"p{i + 1}" for i in range(k)] + ["member"]
-            rows = [
-                [repr(float(v)) for v in row] + [int(m)]
-                for row, m in zip(points, member)
-            ]
+            rows = [[*row, m] for row, m in zip(points.tolist(), member.astype(int).tolist())]
             text = _csv_text(header, rows)
         target = _suffixed(config.out, kind) if len(kinds) > 1 else config.out
         outputs.append((target, text))
@@ -398,8 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Refuse, as usage errors and before any computation, arguments that
-    break a downstream precondition or ask for a table or grid of more than
-    MAX_GRID_POINTS points."""
+    break a downstream precondition.
+
+    The size budget is not checked here: core.compositions_array refuses a
+    grid or outcome table of more than MAX_GRID_POINTS points with
+    OverBudgetError, which main maps to exit 2. A request is so refused
+    only if it would build that table or grid, which depends on the region
+    kind (a Sanov region of a huge phat builds no outcome table), and the
+    refusal comes before the allocation and before any output is written."""
     command = args.subcommand
     if "delta" in args and not 0.0 < args.delta < 1.0:
         parser.error("--delta must lie in (0, 1)")
@@ -428,25 +419,12 @@ def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> No
     least = MIN_RESOLUTION if command == "volume" else 1
     if grid is not None and grid < least:
         parser.error(f"--grid must be >= {least}")
-    if command == "region" and p is None:
-        resolution = grid or scan_resolution(sum(args.phat))
-        _check_size(parser, len(args.phat), resolution, "grid", "--grid")
-    if command == "volume":
-        if args.k < 1 or args.n < 0:
-            parser.error("--k must be >= 1 and --n >= 0")
-        _check_size(parser, args.k, grid, "grid", "--grid")
-        _check_size(parser, args.k, args.n, "outcome table", "--n")
-    if command == "covering":
-        if args.n < 0:
-            parser.error("--n must be >= 0")
-        _check_size(parser, len(p), args.n, "outcome table", "--n")
-    if command == "pvalue":
-        _check_size(parser, len(args.phat), sum(args.phat), "outcome table", "--phat")
-    if command == "widths":
-        if any(n < 10 for n in args.n_list):
-            parser.error("widths sweep needs n >= 10")
-        for n in args.n_list:
-            _check_size(parser, 3, grid or scan_resolution(n), "grid", "--grid")
+    if command == "volume" and (args.k < 1 or args.n < 0):
+        parser.error("--k must be >= 1 and --n >= 0")
+    if command == "covering" and args.n < 0:
+        parser.error("--n must be >= 0")
+    if command == "widths" and any(n < 10 for n in args.n_list):
+        parser.error("widths sweep needs n >= 10")
 
 
 def main(argv=None) -> int:
@@ -460,7 +438,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OverBudgetError) else 1
 
 
 if __name__ == "__main__":

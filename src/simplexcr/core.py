@@ -21,7 +21,8 @@ SUM_TOL = 1e-12
 #: two outcomes count as equiprobable when their log-pmfs are this close
 LOG_TIE_TOL = 1e-9
 
-#: most points of a scan grid or an outcome table; checked before either is built
+#: most points of a scan grid, an outcome table or a Monte Carlo scan;
+#: checked before any of them is built
 MAX_GRID_POINTS = 5_000_000
 
 # Bytes of read-only arrays kept between calls by compositions_array,
@@ -130,6 +131,11 @@ def simplex_size(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
+class OverBudgetError(ValueError):
+    """A request would allocate more than MAX_GRID_POINTS points; refused
+    before allocating."""
+
+
 _CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
 
 
@@ -197,13 +203,14 @@ def compositions_array(k: int, n: int) -> np.ndarray:
     array in lexicographic order: index order breaks probability ties, and a
     row's index is its ``composition_rank``. Column by column, each partial
     row with rest units left is repeated rest + 1 times with values 0..rest.
-    More than MAX_GRID_POINTS rows are refused before allocating. Kept in
-    the byte-budgeted cache it shares with ``log_coefficients`` and the
-    grid points (least recently used evicted first; a refused call keeps
-    nothing); callers must not modify."""
+    Every outcome table and scan grid passes through here, so this is the
+    budget's one gate: more than MAX_GRID_POINTS rows raise OverBudgetError
+    before allocating. Kept in the byte-budgeted cache it shares with
+    ``log_coefficients`` and the grid points (least recently used evicted
+    first; a refused call keeps nothing); callers must not modify."""
     size = simplex_size(k, n)
     if size > MAX_GRID_POINTS:
-        raise ValueError(
+        raise OverBudgetError(
             f"Delta_({k},{n}) has {size} points, more than {MAX_GRID_POINTS}; "
             "no outcome table or grid that large is built"
         )

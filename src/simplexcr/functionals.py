@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     MAX_GRID_POINTS,
     EmpiricalDistribution,
+    OverBudgetError,
     SimplexGrid,
     SimplexPoint,
     composition_rank,
@@ -121,11 +122,11 @@ def functional_interval(
     """Range of f over the confidence region of phat, as an interval.
 
     Takes the hull of f over the members of the resolution-M simplex grid
-    (default scan_resolution(n), max(10n, 150); more than MAX_GRID_POINTS
-    points is refused before the grid is built) and widens it by the grid
-    Lipschitz padding (max_ij |v_i - v_j|) * (k - 1) / M. The padded
-    interval is clamped to the functional's range. The hull comes from an
-    extremal scan: the grid points sorted by f are tested from each end in
+    (default scan_resolution(n), max(10n, 150); a grid of more than
+    MAX_GRID_POINTS points raises OverBudgetError before it is built) and
+    widens it by the grid Lipschitz padding (max_ij |v_i - v_j|) * (k - 1) / M.
+    The padded interval is clamped to the functional's range. The hull
+    comes from an extremal scan: the grid points sorted by f are tested from each end in
     chunks of 8, 16, 32, ... points, and the first member from each end
     holds the least and the greatest member value. For the level-set kind only the points that
     survive ``phat_mass_survivors`` over the whole grid are walked: a
@@ -133,8 +134,9 @@ def functional_interval(
     is the same. Membership is decided per point, whatever the chunk, so
     the interval is the one a scan of the whole grid gives. For k > 3
     dense grids are infeasible and the scan tests all ``mc_draws`` uniform
-    Dirichlet proposals instead (``seed`` required); the member fraction is
-    reported as ``scan_coverage``.
+    Dirichlet proposals instead (``seed`` required; 1 to MAX_GRID_POINTS
+    draws, more raise OverBudgetError before any is drawn); the member
+    fraction is reported as ``scan_coverage``.
     """
     if f.k != phat.k:
         raise ValueError(f"dimension mismatch: {f.k} vs {phat.k}")
@@ -148,12 +150,6 @@ def functional_interval(
     if phat.k <= 3:
         if M is None:
             M = scan_resolution(phat.n)
-        size = simplex_size(phat.k, M)
-        if size > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid at resolution {M} has {size} points, more than "
-                f"{MAX_GRID_POINTS}; lower M"
-            )
         points = SimplexGrid(phat.k, M).points
         fv = points @ vals
         order = np.argsort(fv, kind="stable")
@@ -172,12 +168,7 @@ def functional_interval(
         # the highest member lies at or after the lowest one along order
         rest = order[first:][::-1]
         low, high = order[first], rest[_first_member(phat, spec, points, rest)]
-        if low == high:
-            # a lone member: numpy computes a one-row product as a dot
-            # product, which can round differently from the many-row one
-            f_low = f_high = float((points[[low]] @ vals)[0])
-        else:
-            f_low, f_high = float(fv[low]), float(fv[high])
+        f_low, f_high = float(fv[low]), float(fv[high])
         pad = (hi_range - lo_range) * (phat.k - 1) / M
         return IntervalResult(
             lower=max(lo_range, f_low - pad),
@@ -189,6 +180,13 @@ def functional_interval(
 
     if seed is None:
         raise ValueError("Monte Carlo scan for k > 3 requires a seed")
+    if mc_draws < 1:
+        raise ValueError(f"mc_draws must be >= 1, got {mc_draws}")
+    if mc_draws > MAX_GRID_POINTS:
+        raise OverBudgetError(
+            f"{mc_draws} Monte Carlo draws, more than {MAX_GRID_POINTS}; "
+            "no scan that large is built"
+        )
     rng = np.random.default_rng(seed)
     points = rng.dirichlet(np.ones(phat.k), size=mc_draws)
     member = membership_grid(phat, spec, points)

@@ -184,9 +184,13 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     to math.fsum bit for bit, and computed by binning them on their float
     exponent (core.exact_sum).
 
-    The rule p_value(phat, p) > delta differs from member_of_covering only
-    when 1 - delta falls strictly inside phat's probability-tie class,
-    where the prefix rule splits a tie class that the p-value keeps whole.
+    Off the region's boundary, the rule p_value(phat, p) > delta differs
+    from member_of_covering only when 1 - delta falls strictly inside
+    phat's probability-tie class, where the prefix rule splits a tie class
+    that the p-value keeps whole. Within rounding of the boundary they can
+    differ without a tie class too: the p-value sums the float pmfs of the
+    outcomes not ranked before phat, member_of_covering those ranked before
+    it, and the float pmfs of all outcomes do not sum to exactly 1.
     """
     if phat.k != p.k:
         raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")

@@ -43,7 +43,7 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert "lower --grid" in err
+        assert "Delta_(3,100000)" in err and "5000000" in err
 
     def test_oversized_default_widths_grid_exits_2(self, capsys):
         # the default resolution max(10n, 150) is capped too
@@ -74,7 +74,37 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert "outcome table" in err and "lower --n" in err
+        assert "outcome table" in err and "Delta_(5,200)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # an outcome table past the budget, from a region query
+            ("region", "--phat", "2000,0,0,0", "--p", "0.25,0.25,0.25,0.25"),
+            ("region", "--phat", "2000,0,0,0", "--grid", "10"),
+            ("widths", "--n-list", "5000", "--grid", "10"),
+            ("region", "--phat", "1,1,1", "--grid", "100000"),
+            ("widths", "--n-list", "10,400000"),
+            ("covering", "--p", "0.25,0.25,0.25,0.25", "--n", "2000"),
+            ("pvalue", "--phat", "2000,0,0,0", "--p", "0.25,0.25,0.25,0.25"),
+            ("volume", "--k", "5", "--n", "200", "--grid", "50"),
+            ("volume", "--k", "3", "--n", "5", "--grid", "100000"),
+        ],
+    )
+    def test_every_oversized_request_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Delta_(" in err
+
+    def test_sanov_region_of_a_huge_phat_builds_no_table(self, capsys):
+        # the level-set region of this phat needs 1.3e9 outcomes; Sanov's none
+        code, out, _ = run_cli(
+            capsys, "region", "--phat", "2000,0,0,0", "--grid", "10",
+            "--construction", "sanov",
+        )
+        assert code == 0
+        assert json.loads(out)["construction"] == "sanov"
 
     def test_boundary_mode_needs_k3(self, capsys):
         code, _, _ = run_cli(

@@ -8,6 +8,7 @@ from simplexcr import (
     EmpiricalDistribution,
     EmptyScanError,
     LinearFunctional,
+    OverBudgetError,
     RegionSpec,
     SimplexGrid,
     SimplexPoint,
@@ -23,6 +24,7 @@ from simplexcr.core import (
     MAX_GRID_POINTS,
     _grid_points,
     composition_rank,
+    compositions_array,
     log_coefficients,
     log_weights,
     simplex_size,
@@ -151,6 +153,21 @@ class TestFunctionalInterval:
         with pytest.raises(ValueError, match="seed"):
             functional_interval(phat, f, 0.3, spec)
 
+    @pytest.mark.parametrize("draws, error, match", [
+        (0, ValueError, "mc_draws must be >= 1"),
+        (MAX_GRID_POINTS + 1, OverBudgetError, f"more than {MAX_GRID_POINTS}"),
+    ])
+    def test_monte_carlo_draws_refused_before_drawing(self, monkeypatch, draws, error, match):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        phat = EmpiricalDistribution((2, 3, 3, 2))
+        f = LinearFunctional((0.0, 1 / 3, 2 / 3, 1.0))
+        spec = RegionSpec(0.3, "levelset", 10, 4)
+        with pytest.raises(error, match=match):
+            functional_interval(phat, f, 0.3, spec, mc_draws=draws, seed=5)
+
     def test_empty_scan_raises_with_guidance(self):
         # at delta this close to one the region hides between coarse grid points
         phat = EmpiricalDistribution((7, 5, 3))
@@ -167,7 +184,7 @@ def full_scan_interval(phat, f, delta, spec, M):
     member = membership_grid(phat, spec, points)
     if not member.any():
         return None
-    fv = points[member] @ np.asarray(f.values)
+    fv = (points @ np.asarray(f.values))[member]
     lo_range, hi_range = f.value_range
     pad = (hi_range - lo_range) * (phat.k - 1) / M
     return IntervalResult(
@@ -214,7 +231,8 @@ class TestExtremalScan:
         assert functional_interval(phat, MEAN3, 0.05, spec, M=M) == want
 
     def test_lone_member(self):
-        # one member: the full scan's f value is a one-row product
+        # one member: the scan and the full scan read its f value from the
+        # same whole-grid product
         phat = EmpiricalDistribution((2, 2, 2))
         f = LinearFunctional((0.1, 0.2, 0.3))
         spec = RegionSpec(0.99, "levelset", 6, 3)
@@ -227,10 +245,13 @@ class TestExtremalScan:
         phat = EmpiricalDistribution((3, 4, 3))
         spec = RegionSpec(0.3, "levelset", 10, 3)
         assert simplex_size(3, 100_000) > MAX_GRID_POINTS
-        misses = _grid_points.cache_info().misses
-        with pytest.raises(ValueError, match="lower M"):
+        caches = (_grid_points, compositions_array)
+        stored = [fn.cache_info()[2:] for fn in caches]  # (currsize, nbytes)
+        message = rf"Delta_\(3,100000\) has 5000150001 points, more than {MAX_GRID_POINTS}"
+        with pytest.raises(OverBudgetError, match=message):
             functional_interval(phat, MEAN3, 0.3, spec, M=100_000)
-        assert _grid_points.cache_info().misses == misses
+        # nothing stored; the refused calls still count as misses
+        assert [fn.cache_info()[2:] for fn in caches] == stored
 
 
 def survivors(phat, delta, points):

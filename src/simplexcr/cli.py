@@ -204,6 +204,9 @@ def cmd_widths(config: argparse.Namespace) -> int:
     values = LinearFunctional((0.0, 0.5, 1.0))
     header = ["n", "method", "lower", "upper", "width", "note"]
     rows: list[list] = []
+    for n in config.n_list:  # the budget refuses any n's grid or table before the first interval
+        SimplexGrid(3, config.grid or scan_resolution(n)).points
+        compositions_array(3, n)
     for n in config.n_list:
         base = int(round(n / 10.0))
         counts = (base, base, n - 2 * base)

@@ -247,8 +247,9 @@ def log_coefficients(k: int, n: int) -> np.ndarray:
     ``compositions_array(k, n)``, in the same order, as a read-only array.
     Kept in the byte-budgeted cache it shares with ``compositions_array``
     (least recently used evicted first); callers must not modify."""
+    counts = compositions_array(k, n)  # the budget gate, before gammaln's table
     lg = gammaln(np.arange(n + 2))
-    out = lg[n + 1] - lg[compositions_array(k, n) + 1].sum(axis=1)
+    out = lg[n + 1] - lg[counts + 1].sum(axis=1)
     out.setflags(write=False)
     return out
 

@@ -39,6 +39,7 @@ def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
     """Sum of region volumes over every possible outcome."""
     if M < MIN_RESOLUTION:  # refused before the outcomes are enumerated
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
+    SimplexGrid(spec.k, M).points  # an oversized grid is refused before the outcomes
     outcomes = enumerate_simplex(spec.k, spec.n)
     per_phat = {phat: region_volume(phat, spec, M) for phat in outcomes}
     return VolumeReport(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from simplexcr import EmpiricalDistribution, RegionSpec, SimplexPoint, average_volume
+from simplexcr import core, volume
 from simplexcr.cli import main
 
 from oracles import exact_pmf, p_value_fsum
@@ -15,6 +16,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _computed_before_the_gate(*args):
+    raise AssertionError("computed before the budget refused the request")
 
 
 class TestUsageErrors:
@@ -89,13 +94,31 @@ class TestUsageErrors:
             ("pvalue", "--phat", "2000,0,0,0", "--p", "0.25,0.25,0.25,0.25"),
             ("volume", "--k", "5", "--n", "200", "--grid", "50"),
             ("volume", "--k", "3", "--n", "5", "--grid", "100000"),
+            # two categories: gammaln over 0..n would be 16 GB before the table
+            ("pvalue", "--phat", "1000000000,0", "--p", "0.5,0.5"),
+            ("covering", "--p", "0.5,0.5", "--n", "1000000000"),
+            # an in-budget table of 4.5e6 outcomes, an over-budget grid
+            ("volume", "--k", "3", "--n", "3000", "--grid", "4000"),
+            # an in-budget first n, an over-budget second one
+            ("widths", "--n-list", "10,5000", "--grid", "10"),
         ],
     )
-    def test_every_oversized_request_exits_2(self, capsys, argv):
+    def test_every_oversized_request_exits_2(self, capsys, monkeypatch, argv):
+        # refused before any log-coefficient table is computed
+        monkeypatch.setattr(core, "gammaln", _computed_before_the_gate)
+        core.log_coefficients.cache_clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "Delta_(" in err
+
+    def test_volume_refuses_its_grid_before_enumerating_outcomes(self, capsys, monkeypatch):
+        # 4.5e6 outcomes are within the budget, a resolution-4000 grid is not
+        monkeypatch.setattr(volume, "enumerate_simplex", _computed_before_the_gate)
+        code, out, err = run_cli(capsys, "volume", "--k", "3", "--n", "3000", "--grid", "4000")
+        assert code == 2
+        assert out == ""
+        assert "Delta_(3,4000)" in err
 
     def test_sanov_region_of_a_huge_phat_builds_no_table(self, capsys):
         # the level-set region of this phat needs 1.3e9 outcomes; Sanov's none

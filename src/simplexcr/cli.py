@@ -291,7 +291,7 @@ def cmd_bandit(config: argparse.Namespace) -> int:
         "q75",
     ]
     rows: list[list] = []
-    any_capped = False
+    capped = 0
     for method in config.methods:
         times = []
         for trial in range(config.trials):
@@ -302,7 +302,7 @@ def cmd_bandit(config: argparse.Namespace) -> int:
                 method,
                 seed=config.seed + trial,
             )
-            any_capped |= not run.completed
+            capped += not run.completed
             times.append(run.stopping_time)
             rows.append(
                 [
@@ -322,7 +322,10 @@ def cmd_bandit(config: argparse.Namespace) -> int:
             ["summary", "", method, "", "", "", repr(q25), repr(q50), repr(q75)]
         )
     _write_text(config.out, _csv_text(header, rows))
-    return 1 if any_capped else 0
+    if capped:
+        runs = config.trials * len(config.methods)
+        print(f"error: {capped} of {runs} runs hit the sample cap", file=sys.stderr)
+    return 1 if capped else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,6 +427,9 @@ def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> No
         parser.error(f"--grid must be >= {least}")
     if command == "volume" and (args.k < 1 or args.n < 0):
         parser.error("--k must be >= 1 and --n >= 0")
+    if command in ("region", "volume") and args.construction != "levelset":
+        if (sum(args.phat) if command == "region" else args.n) < 1:
+            parser.error("the sanov and polytope constructions need n >= 1")
     if command == "covering" and args.n < 0:
         parser.error("--n must be >= 0")
     if command == "widths" and any(n < 10 for n in args.n_list):

@@ -264,10 +264,10 @@ def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
 def outcome_log_pmf(k: int, n: int, probs: np.ndarray) -> np.ndarray:
     """Multinomial log-pmf of every row of ``compositions_array(k, n)``
     under one p, with the coefficients read from the cached
-    ``log_coefficients`` table. Rows with a positive count on a
-    zero-probability category come back as exactly -inf."""
-    logp = log_coefficients(k, n) + compositions_array(k, n) @ log_weights(probs)
-    return np.where(logp <= _LOG_ZERO / 2, -np.inf, logp)
+    ``log_coefficients`` table. A row with a positive count on a
+    zero-probability category carries _LOG_ZERO times that count, so its
+    exp is exactly 0.0."""
+    return log_coefficients(k, n) + compositions_array(k, n) @ log_weights(probs)
 
 
 def log_weights(probs: np.ndarray) -> np.ndarray:

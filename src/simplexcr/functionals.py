@@ -10,7 +10,8 @@ interval. One safeguarded Newton solver of the finite-support KL-UCB dual
 bounds f over a KL ball: for the level-set bandit's bracket, and, as its
 k = 2 case with f = (0, 1), for the two-point KL interval. Its ends are
 dual bounds: at or outside the exact ends in exact arithmetic, and tight
-to the dual's rounding in floats.
+to the dual's rounding in floats. A solve given no start begins from one
+cold start, the dual point of the two-point ball's second-order end.
 """
 from __future__ import annotations
 
@@ -25,10 +26,7 @@ from .core import (
     OverBudgetError,
     SimplexGrid,
     SimplexPoint,
-    composition_rank,
-    log_coefficients,
     log_weights,
-    simplex_size,
 )
 from .regions import RegionSpec, membership_grid, phat_mass_survivors
 
@@ -154,9 +152,7 @@ def functional_interval(
         fv = points @ vals
         order = np.argsort(fv, kind="stable")
         if spec.kind == "levelset":  # pruned points are proven non-members
-            q = log_coefficients(phat.k, phat.n)[composition_rank(phat.counts)]
-            q = q + log_weights(points) @ np.asarray(phat.counts, dtype=float)
-            keep = phat_mass_survivors(q, simplex_size(phat.k, phat.n), spec.delta)
+            keep = phat_mass_survivors(phat, log_weights(points), spec.delta)
             order = order[keep[order]]
         first = _first_member(phat, spec, points, order)
         if first is None:
@@ -312,15 +308,18 @@ def _kl_ball_sup(
     KL-UCB bound of Honda and Takemura, and Cappe et al.); g is convex, g' =
     1 - E S1, g'' = E (S2 - S1^2), S_m = sum_{w_j > 0} w_j / (lambda -
     f_j)^m. By weak duality every g(lambda) bounds the sup, so stopping
-    early only loosens the bound. Newton steps on g' run in x from
-    ``start`` (a previous offset) or from the mean plus sqrt(variance / (2
-    eps)), inside [0, (wbar - a_min e^eps) / (e^eps - 1)], where g' >= 0 by
-    AM-GM (a_j = max f - f_j, wbar = sum w_j a_j, a_min = the least observed
-    a_j). A step that leaves the bracket or is longer than half the last
-    one is replaced by bisection. Explicit cases: max f when every observed
-    category pays it (constant f included); g(max f) when none does and
-    g'(max f) >= 0, the boundary optimum; max f, always sound, when e^eps
-    overflows.
+    early only loosens the bound. Newton steps on g' run in x inside [0,
+    (wbar - a_min e^eps) / (e^eps - 1)], where g' >= 0 by AM-GM (a_j = max
+    f - f_j, wbar = sum w_j a_j, a_min = the least observed a_j), from
+    ``start`` (a previous offset) or, cold, from the second-order dual
+    point: with observed weight c on max f, the optimum gives those
+    categories mass q > c at offset c (1 - q) / (q - c), and q is about c +
+    sqrt(2 eps c (1 - c)), the second-order root of KL(c, q) = eps. A start
+    outside the bracket is replaced by its midpoint. A step that leaves the
+    bracket or is longer than half the last one is replaced by bisection.
+    Explicit cases: max f when every observed category pays it (constant f
+    included); g(max f) when none does and g'(max f) >= 0, the boundary
+    optimum; max f, always sound, when e^eps overflows.
     """
     top = max(f)
     obs = [(wj, top - fj) for wj, fj in zip(w, f) if wj > 0.0]
@@ -353,13 +352,11 @@ def _kl_ball_sup(
     # x = 0 infinite, no float inside the bracket: max f is always sound
     if not hi > 0.0 or (a_min == 0.0 and 0.5 * hi == 0.0):
         return top, 0.0
-    if start is not None and lo < start < hi:
-        x = start
-    else:
-        var = math.fsum(wj * (a - wbar) ** 2 for wj, a in obs)
-        x = math.sqrt(var / (2.0 * eps)) - wbar
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+    if start is None:
+        c = sum(wj for wj, a in obs if a == 0.0)
+        d = math.sqrt(2.0 * eps * c * (1.0 - c))
+        start = c * (1.0 - c - d) / d if d else lo  # no start: the midpoint
+    x = start if lo < start < hi else 0.5 * (lo + hi)
     last = math.inf  # length of the previous Newton step
     while True:
         e, s1, s2 = dual(x)
@@ -394,21 +391,12 @@ def _kl_bernoulli_end(mean_hat: float, level: float, edge: float) -> float:
     least _KL_LEVEL_FLOOR. By weak duality the end lies at or outside the
     exact one in exact arithmetic; in floats it is tight to the dual's
     rounding. The ball holds its centre, so the end is clamped to its side
-    of mean_hat, which rounding can cross when mean_hat is subnormal.
-
-    The solve is cold, from the dual point of the second-order end: with
-    weight c on the category that pays max f, the optimum gives that
-    category mass q > c at offset c (1 - q) / (q - c), and q is about c +
-    sqrt(2 level c (1 - c)). On the ends a LUCB run asks for, this start
-    takes about 4.6 dual steps against 6.8 from _kl_ball_sup's own start,
-    which falls outside the bracket for half of them."""
+    of mean_hat, which rounding can cross when mean_hat is subnormal. The
+    solve is cold: it depends only on (mean_hat, level, edge)."""
     w = [1.0 - mean_hat, mean_hat]
     level = max(level, _KL_LEVEL_FLOOR)
-    c = w[1] if edge else w[0]
-    d = math.sqrt(2.0 * level * c * (1.0 - c))
-    start = c * (1.0 - c - d) / d if d else None
     if edge:
-        sup = _kl_ball_sup([0.0, 1.0], w, level, start)[0]
+        sup = _kl_ball_sup([0.0, 1.0], w, level)[0]
         return min(1.0, max(mean_hat, sup))
-    sup = _kl_ball_sup([-0.0, -1.0], w, level, start)[0]
+    sup = _kl_ball_sup([-0.0, -1.0], w, level)[0]
     return max(0.0, min(mean_hat, -sup))

@@ -7,9 +7,9 @@ average-volume confidence region; KL-based Sanov and per-marginal polytope
 regions are provided as baselines, together with the exact p-value. Each
 region has one membership path, membership_grid; the scalar
 region_membership is its one-row case. Level-set membership over many
-points is pruned by a bound on phat's own mass, written once in
-phat_mass_survivors: the kernel, levelset_membership_grid, prunes its points
-and its outcome rows by it (_phat_mass_row_cut), and
+points is pruned by a bound on phat's own mass, written once, with phat's
+log-mass, in phat_mass_survivors: the kernel, levelset_membership_grid,
+prunes its points and its outcome rows by it (_phat_mass_row_cut), and
 functionals.functional_interval prunes its whole scan grid with it and walks
 only the survivors. Neither prune can change an answer. kl_ball_radius
 restates the rule as a KL ball around phat that holds every member. The
@@ -69,6 +69,8 @@ class RegionSpec:
             raise ValueError("k must be >= 1")
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        if self.kind != "levelset" and self.n < 1:
+            raise ValueError(f"n must be >= 1 for the {self.kind} region, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -242,21 +244,26 @@ def region_membership(
 # are pure and safe to parallelize over.
 
 
-def phat_mass_survivors(q: np.ndarray, num: int, delta: float) -> np.ndarray:
-    """Which points survive the prune by phat's own mass, given q, phat's
-    log-mass log P_p(phat) under each point p, and the number num of
-    outcomes: those with log num + q + LOG_TIE_TOL > log(delta) - log 2. A
-    point that does not survive is a proven non-member of phat's level-set
-    region at level delta.
+def phat_mass_survivors(
+    phat: EmpiricalDistribution, w: np.ndarray, delta: float
+) -> np.ndarray:
+    """Which points survive the prune by phat's own mass, given w =
+    log_weights(points): those where q = log P_p(phat), phat's multinomial
+    log-coefficient plus w . counts, and the number N of outcomes give
+    log N + q + LOG_TIE_TOL > log(delta) - log 2. A point that does not
+    survive is a proven non-member of phat's level-set region at level delta.
 
     In the membership rule of levelset_membership_grid, every outcome not
     ranked before phat has log-pmf at most q + LOG_TIE_TOL, so
-    1 - G <= num exp(q + LOG_TIE_TOL). So if log num + q + LOG_TIE_TOL
+    1 - G <= N exp(q + LOG_TIE_TOL). So if log N + q + LOG_TIE_TOL
     <= log(delta) - log 2, G is at least 1 - delta/2 > 1 - delta and p is
     not a member. The margin of delta/2 dwarfs any rounding in q, so the
     answer does not depend on how q was summed.
     """
-    return math.log(num) + q + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
+    k, n = phat.k, phat.n
+    q = log_coefficients(k, n)[composition_rank(phat.counts)]
+    q = q + w @ np.asarray(phat.counts, dtype=float)
+    return math.log(simplex_size(k, n)) + q + LOG_TIE_TOL > math.log(delta) - math.log(2.0)
 
 
 def _phat_mass_row_cut(num: int, delta: float) -> float:
@@ -356,10 +363,8 @@ def levelset_membership_grid(
     idx = composition_rank(phat.counts)
     logcoef = log_coefficients(k, n)
 
-    # phat's own log-pmf under every point, the q of phat_mass_survivors
     w = log_weights(points)
-    q_all = logcoef[idx] + w @ np.asarray(phat.counts, dtype=float)
-    cand = np.flatnonzero(phat_mass_survivors(q_all, num, delta))
+    cand = np.flatnonzero(phat_mass_survivors(phat, w, delta))
     member = np.zeros(len(points), dtype=bool)
     if len(cand) == 0:
         return member

@@ -211,6 +211,21 @@ class TestUsageErrors:
         assert out == ""
         assert "disagree on the number of categories" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--phat", "0,0", "--p", "0.5,0.5", "--construction", "polytope"),
+            ("volume", "--k", "2", "--n", "0", "--construction", "sanov"),
+            ("volume", "--k", "2", "--n", "0", "--construction", "polytope"),
+            ("region", "--phat", "0,0", "--grid", "50", "--construction", "all"),
+        ],
+    )
+    def test_sanov_and_polytope_at_n_0_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "constructions need n >= 1" in err
+
     @pytest.mark.parametrize("grid", ["1", "49"])
     def test_volume_grid_below_its_least_resolution_exits_2(self, capsys, grid):
         code, out, err = run_cli(capsys, "volume", "--k", "2", "--n", "3", "--grid", grid)
@@ -454,12 +469,13 @@ class TestBanditCommand:
             "lucb_run",
             lambda *a, **kw: real(*a, sample_cap=25, **kw),
         )
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "bandit", "--trials", "1", "--seed", "3",
             "--methods", "hoeffding", "--delta", "0.05",
         )
         assert code == 1
+        assert err == "error: 1 of 1 runs hit the sample cap\n"
         rows = list(csv.reader(out.splitlines()))
         trial = [r for r in rows[1:] if r[0] == "trial"][0]
         assert trial[5] == "0"  # completed flag cleared

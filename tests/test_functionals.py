@@ -23,9 +23,7 @@ from simplexcr import regions
 from simplexcr.core import (
     MAX_GRID_POINTS,
     _grid_points,
-    composition_rank,
     compositions_array,
-    log_coefficients,
     log_weights,
     simplex_size,
 )
@@ -254,15 +252,6 @@ class TestExtremalScan:
         assert [fn.cache_info()[2:] for fn in caches] == stored
 
 
-def survivors(phat, delta, points):
-    """phat_mass_survivors over ``points``, with q = log P_p(phat) taken from
-    the outcome table's coefficient and one matrix-vector product."""
-    k, n = phat.k, phat.n
-    q = log_coefficients(k, n)[composition_rank(phat.counts)]
-    q = q + log_weights(points) @ np.asarray(phat.counts, dtype=float)
-    return phat_mass_survivors(q, simplex_size(k, n), delta)
-
-
 class TestSurvivorScan:
     """A level-set scan walks only the points that survive the phat-mass
     prune, in chunks of 8, 16, 32, ... from each end of the f order."""
@@ -275,7 +264,7 @@ class TestSurvivorScan:
         M = 12
         points = SimplexGrid(3, M).points
         order = np.argsort(points @ np.asarray(MEAN3.values), kind="stable")
-        walked = order[survivors(phat, 0.9, points)[order]]
+        walked = order[phat_mass_survivors(phat, log_weights(points), 0.9)[order]]
         member = membership_grid(phat, spec, points[walked])
         assert len(walked) == 24
         assert member.any() and not member[:8].any() and not member[-8:].any()
@@ -288,7 +277,7 @@ class TestSurvivorScan:
         phat = EmpiricalDistribution((33, 33, 34))
         spec = RegionSpec(0.05, "levelset", 100, 3)
         points = SimplexGrid(3, 2).points
-        assert not survivors(phat, 0.05, points).any()
+        assert not phat_mass_survivors(phat, log_weights(points), 0.05).any()
         calls = []
         monkeypatch.setattr(
             regions, "levelset_membership_grid", lambda *args: calls.append(args)

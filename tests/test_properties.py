@@ -22,14 +22,11 @@ from simplexcr import (
 )
 from simplexcr.core import (
     SimplexGrid,
-    composition_rank,
     compositions_array,
     exact_sum,
     kl_to_many,
-    log_coefficients,
     log_weights,
     outcome_log_pmf,
-    simplex_size,
 )
 from simplexcr.functionals import (
     _KL_LEVEL_FLOOR,
@@ -369,6 +366,38 @@ def test_kl_ball_dual_is_least_at_the_solution(case, offsets):
         assert lam - math.exp(log_e) >= upper - 1e-12 * (1.0 + abs(lam))
 
 
+def dual_allowance(f, w, eps, x):
+    """The dual-rounding term of oracles.kl_end_allowance for any k: the
+    bound is max f + x - E, and E = exp(sum w_j log(x + a_j) - eps) errs by
+    about 2^-52 times the size of its exponent's terms; four times that."""
+    top = max(f)
+    logs = math.fsum(wj * abs(math.log(x + (top - fj))) for wj, fj in zip(w, f) if wj > 0.0)
+    return 4.0 * 2.0**-52 * (1.0 + x) * (1.0 + eps + logs)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(bracket_cases(), st.floats(-10.0, math.log10(30.0)))
+def test_kl_ball_sup_does_not_depend_on_its_start(case, log_eps):
+    """The bound from a start at 0.5x, 2x + 1e-3, x + 10, 1e-6 or (1 +
+    1e-3)x, x the cold solve's offset, is the cold bound up to the dual's
+    rounding at both offsets; a start outside the Newton bracket is
+    replaced by its midpoint. Weights come from counts with zeros, eps is
+    log-uniform in [1e-10, 30]. A cold offset of 0 is an explicit case,
+    which no start reaches."""
+    counts, _, f = case
+    f = f.tolist()
+    w = [c / sum(counts) for c in counts]
+    eps = 10.0**log_eps
+    cold, x = _kl_ball_sup(f, w, eps)
+    for start in (0.5 * x, 2.0 * x + 1e-3, x + 10.0, 1e-6, (1.0 + 1e-3) * x):
+        warm, x_warm = _kl_ball_sup(f, w, eps, start)
+        if x == 0.0:
+            assert (warm, x_warm) == (cold, x)
+            continue
+        allowance = dual_allowance(f, w, eps, x) + dual_allowance(f, w, eps, x_warm)
+        assert abs(warm - cold) <= allowance
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(bracket_cases(), st.integers(0, 2**32 - 1))
 def test_kl_ball_radius_restates_the_prune(case, seed):
@@ -385,9 +414,7 @@ def test_kl_ball_radius_restates_the_prune(case, seed):
         + [rng.dirichlet(w * s + 0.05, 200) for s in (3.0, 30.0, 300.0)]
     )
     r = kl_ball_radius(counts, delta)
-    q = log_coefficients(k, n)[composition_rank(counts)]
-    q = q + log_weights(points) @ np.array(counts, dtype=float)
-    kept = phat_mass_survivors(q, simplex_size(k, n), delta)
+    kept = phat_mass_survivors(EmpiricalDistribution(counts), log_weights(points), delta)
     nkl = n * kl_to_many(w, points)
     far = np.abs(nkl - r) > 1e-9 * r
     assert np.array_equal((nkl < r)[far], kept[far])
@@ -431,9 +458,10 @@ def ordering_cases(draw):
 @example((3, 0, SimplexPoint.uniform(3), None))
 def test_probability_ordering_matches_lexsort(case):
     """The run-key ordering equals the lexsort-and-re-sort reference on the
-    log-pmfs of every outcome, -inf entries from zero coordinates included.
-    A seeded jitter by multiples of 3e-10 makes near-tie runs span distinct
-    floats, so that runs chain across more than one LOG_TIE_TOL."""
+    log-pmfs of every outcome, the finite stand-in for log 0 at zero
+    coordinates included. A seeded jitter by multiples of 3e-10 makes
+    near-tie runs span distinct floats, so that runs chain across more than
+    one LOG_TIE_TOL."""
     k, n, p, jitter_seed = case
     logp = outcome_log_pmf(k, n, p.as_array())
     if jitter_seed is not None:

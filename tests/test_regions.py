@@ -62,6 +62,12 @@ class TestRegionSpec:
         with pytest.raises(ValueError):
             RegionSpec(0.3, "wilson", 5, 3)
 
+    def test_sanov_and_polytope_need_a_sample(self):
+        for kind in ("sanov", "polytope"):
+            with pytest.raises(ValueError, match=f"n must be >= 1 for the {kind} region"):
+                RegionSpec(0.3, kind, 0, 2)
+        assert RegionSpec(0.3, "levelset", 0, 2).n == 0
+
 
 class TestCoveringCollection:
     def test_uniform_example(self):

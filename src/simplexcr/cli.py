@@ -3,10 +3,12 @@ interval-width sweeps, volume reports, and bandit stopping-time tables.
 
 Outputs are machine readable: CSV (with a header row) for tabular sweeps,
 JSON (with a schema_version field) for structured region dumps, always
-UTF-8 with LF line endings. Exit codes: 0 success, 1 computational
-failure, 2 usage error, which includes a grid or outcome table over the
-MAX_GRID_POINTS budget. Output is written only after the full computation
-succeeds, so invalid input never leaves partial output behind.
+UTF-8 with LF line endings. Exit codes: 0 success; 2 an argument that
+argparse, ``_check_args`` or the library refused (every ValueError, a grid
+or outcome table over the MAX_GRID_POINTS budget included); 1 a
+computation that failed (EmptyScanError, a bandit run that hit its sample
+cap). Output is written only after the full computation succeeds, so
+invalid input never leaves partial output behind.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ import numpy as np
 from .bandit import METHODS, benchmark_arms, lucb_run
 from .core import (
     EmpiricalDistribution,
-    OverBudgetError,
     SimplexGrid,
     SimplexPoint,
     compositions_array,
@@ -44,7 +45,7 @@ from .regions import (
     p_value,
     region_membership,
 )
-from .volume import MIN_RESOLUTION, average_volume
+from .volume import average_volume
 
 SCHEMA_VERSION = 1
 
@@ -63,13 +64,6 @@ def _parse_list(cast, noun: str):
 
 _parse_probs = _parse_list(float, "reals")
 _parse_int_list = _parse_list(int, "integers")
-
-
-def _parse_counts(text: str) -> tuple[int, ...]:
-    counts = _parse_int_list(text)
-    if any(c < 0 for c in counts):
-        raise argparse.ArgumentTypeError("counts must be nonnegative")
-    return counts
 
 
 def _write_text(out: str | None, content: str) -> None:
@@ -132,21 +126,21 @@ def _boundary_rows(points: np.ndarray, member: np.ndarray, resolution: int) -> l
 def cmd_region(config: argparse.Namespace) -> int:
     phat = EmpiricalDistribution(config.phat)
     n, k = phat.n, phat.k
+    kinds = KINDS if config.construction == "all" else (config.construction,)
+    specs = [RegionSpec(config.delta, kind, n, k) for kind in kinds]  # before any dump
+    resolution = scan_resolution(n) if config.grid is None else config.grid
+    grid = SimplexGrid(k, resolution)  # a point query too refuses a resolution below 1
     if config.p is not None:
         p = SimplexPoint(config.p)
-        spec = RegionSpec(config.delta, config.construction, n, k)
-        sys.stdout.write("true\n" if region_membership(p, phat, spec) else "false\n")
+        sys.stdout.write("true\n" if region_membership(p, phat, specs[0]) else "false\n")
         return 0
 
-    resolution = config.grid or scan_resolution(n)
-    points = SimplexGrid(k, resolution).points
-    kinds = KINDS if config.construction == "all" else (config.construction,)
+    points = grid.points
     outputs = []
-    for kind in kinds:
-        spec = RegionSpec(config.delta, kind, n, k)
+    for spec in specs:
         member = membership_grid(phat, spec, points)
         common = {
-            "construction": kind,
+            "construction": spec.kind,
             "phat_counts": list(phat.counts),
             "n": n,
             "k": k,
@@ -163,7 +157,7 @@ def cmd_region(config: argparse.Namespace) -> int:
             header = [f"p{i + 1}" for i in range(k)] + ["member"]
             rows = [[*row, m] for row, m in zip(points.tolist(), member.astype(int).tolist())]
             text = _csv_text(header, rows)
-        target = _suffixed(config.out, kind) if len(kinds) > 1 else config.out
+        target = _suffixed(config.out, spec.kind) if len(specs) > 1 else config.out
         outputs.append((target, text))
     for target, text in outputs:
         _write_text(target, text)
@@ -204,8 +198,9 @@ def cmd_widths(config: argparse.Namespace) -> int:
     values = LinearFunctional((0.0, 0.5, 1.0))
     header = ["n", "method", "lower", "upper", "width", "note"]
     rows: list[list] = []
-    for n in config.n_list:  # the budget refuses any n's grid or table before the first interval
-        SimplexGrid(3, config.grid or scan_resolution(n)).points
+    for n in config.n_list:  # any n's spec, grid or table is refused before the first interval
+        RegionSpec(delta, "levelset", n, 3)
+        SimplexGrid(3, scan_resolution(n) if config.grid is None else config.grid).points
         compositions_array(3, n)
     for n in config.n_list:
         base = int(round(n / 10.0))
@@ -216,7 +211,7 @@ def cmd_widths(config: argparse.Namespace) -> int:
             rows.append([n, "warning", "", "", "", note])
         phat = EmpiricalDistribution(counts)
         mean_hat = values.apply(phat.as_point())
-        resolution = config.grid or scan_resolution(n)
+        resolution = scan_resolution(n) if config.grid is None else config.grid
         spec = RegionSpec(delta, "levelset", n, 3)
         intervals = {
             "levelset": functional_interval(phat, values, delta, spec, M=resolution),
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
 
     p_region = sub.add_parser("region", help="region membership dump or point query")
-    p_region.add_argument("--phat", type=_parse_counts, required=True)
+    p_region.add_argument("--phat", type=_parse_int_list, required=True)
     p_region.add_argument("--p", type=_parse_probs, help="single membership query point")
     p_region.add_argument("--construction", choices=KINDS + ("all",), default="levelset")
     p_region.add_argument("--grid", type=int)
@@ -356,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cov, cmd_covering, fmt="csv")
 
     p_pv = sub.add_parser("pvalue", help="exact p-value of phat under p")
-    p_pv.add_argument("--phat", type=_parse_counts, required=True)
+    p_pv.add_argument("--phat", type=_parse_int_list, required=True)
     p_pv.add_argument("--p", type=_parse_probs, required=True)
     p_pv.set_defaults(run=cmd_pvalue)
 
@@ -388,50 +383,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Refuse, as usage errors and before any computation, arguments that
-    break a downstream precondition.
+    """Refuse, as usage errors and before any computation, the arguments
+    that no library call sees in time.
 
-    The size budget is not checked here: core.compositions_array refuses a
-    grid or outcome table of more than MAX_GRID_POINTS points with
-    OverBudgetError, which main maps to exit 2. A request is so refused
-    only if it would build that table or grid, which depends on the region
-    kind (a Sanov region of a huge phat builds no outcome table), and the
-    refusal comes before the allocation and before any output is written."""
+    Every other input rule (delta, the tolerance, p on the simplex, the
+    grid's least resolution, n and k, the MAX_GRID_POINTS budget) is the
+    library's: its ValueError, raised before any output is written, is
+    what main maps to exit 2."""
     command = args.subcommand
-    if "delta" in args and not 0.0 < args.delta < 1.0:
-        parser.error("--delta must lie in (0, 1)")
     if command == "bandit":
         if args.trials < 1:
             parser.error("--trials must be >= 1")
         unknown = set(args.methods) - set(METHODS)
-        if unknown:
+        if unknown:  # lucb_run would see a bad second method only after the first's trials
             parser.error(f"unknown methods: {sorted(unknown)}")
-        if not args.tolerance >= 0.0:
-            parser.error(f"--tolerance must be >= 0, got {args.tolerance}")
-    p = getattr(args, "p", None)
-    if p is not None:
-        try:
-            SimplexPoint(p)
-        except ValueError as exc:
-            parser.error(f"--p is not a simplex point: {exc}")
-        if "phat" in args and len(p) != len(args.phat):
-            parser.error("--p and --phat disagree on the number of categories")
     if command == "region":
         if args.mode == "boundary" and len(args.phat) != 3:
             parser.error("boundary mode requires k = 3")
-        if args.construction == "all" and p is not None:
+        if args.construction == "all" and args.p is not None:
             parser.error("point queries need a single --construction")
-    grid = getattr(args, "grid", None)
-    least = MIN_RESOLUTION if command == "volume" else 1
-    if grid is not None and grid < least:
-        parser.error(f"--grid must be >= {least}")
-    if command == "volume" and (args.k < 1 or args.n < 0):
-        parser.error("--k must be >= 1 and --n >= 0")
-    if command in ("region", "volume") and args.construction != "levelset":
-        if (sum(args.phat) if command == "region" else args.n) < 1:
-            parser.error("the sanov and polytope constructions need n >= 1")
-    if command == "covering" and args.n < 0:
-        parser.error("--n must be >= 0")
     if command == "widths" and any(n < 10 for n in args.n_list):
         parser.error("widths sweep needs n >= 10")
 
@@ -447,7 +417,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, OverBudgetError) else 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -195,7 +195,7 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     it, and the float pmfs of all outcomes do not sum to exactly 1.
     """
     if phat.k != p.k:
-        raise ValueError(f"dimension mismatch: {phat.k} vs {p.k}")
+        raise ValueError(f"phat has {phat.k} categories, p has {p.k}")
     logp = outcome_log_pmf(p.k, phat.n, p.as_array())
     q = logp[composition_rank(phat.counts)]
     include = logp <= q + LOG_TIE_TOL
@@ -233,8 +233,6 @@ def region_membership(
     The one-row case of membership_grid, for every construction kind; the
     level-set answer is member_of_covering's.
     """
-    if p.k != spec.k:
-        raise ValueError("spec does not match the supplied phat and p")
     return bool(membership_grid(phat, spec, p.as_array()[None, :])[0])
 
 
@@ -426,7 +424,8 @@ def membership_grid(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != spec.k:
         raise ValueError(
-            f"points must have shape (G, {spec.k}), got {points.shape}"
+            f"phat has {spec.k} categories, so points must have shape (G, {spec.k}); "
+            f"got {points.shape}"
         )
     if spec.kind == "sanov":
         return sanov_membership_grid(phat, spec.delta, points)

@@ -183,15 +183,22 @@ def min_covering_size_bruteforce(probs, target: float, chunk: int = 200_000) -> 
 
 
 def k2_region_measure_bisection(phat, delta: float, coarse: int = 4000) -> float:
-    """Lebesgue measure of {p1 : (p1, 1-p1) in the level-set region of phat},
-    by coarse scanning for membership transitions and bisecting each one."""
+    """Lebesgue measure of {p1 : (p1, 1-p1) in the level-set region of phat}."""
+    return sum(end - start for start, end in k2_region_runs(phat, delta, coarse))
+
+
+def k2_region_runs(phat, delta: float, coarse: int = 4000) -> list[tuple[float, float]]:
+    """The runs [start, end] of p1 whose (p1, 1-p1) lies in the level-set
+    region of phat, by coarse scanning for membership transitions and
+    bisecting each one; a run shorter than 1/coarse can be missed. A run
+    that reaches an end of [0, 1] has exactly 0.0 or 1.0 there."""
 
     def inside(x: float) -> bool:
         return member_of_covering(phat, SimplexPoint((x, 1.0 - x)), delta)
 
     xs = np.linspace(0.0, 1.0, coarse + 1)
     flags = [inside(float(x)) for x in xs]
-    measure = 0.0
+    runs = []
     start = None
     for i, (x, flag) in enumerate(zip(xs, flags)):
         if flag and start is None:
@@ -201,11 +208,11 @@ def k2_region_measure_bisection(phat, delta: float, coarse: int = 4000) -> float
                 start = _bisect_edge(inside, xs[i - 1], x, want_inside_right=True)
         elif not flag and start is not None:
             end = _bisect_edge(inside, xs[i - 1], x, want_inside_right=False)
-            measure += end - start
+            runs.append((start, end))
             start = None
     if start is not None:
-        measure += 1.0 - start
-    return measure
+        runs.append((start, 1.0))
+    return runs
 
 
 def _bisect_edge(inside, lo: float, hi: float, want_inside_right: bool) -> float:

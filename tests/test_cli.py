@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from simplexcr import EmpiricalDistribution, RegionSpec, SimplexPoint, average_volume
-from simplexcr import core, volume
+from simplexcr import core, regions, volume
+from simplexcr.functionals import EmptyScanError
 from simplexcr.cli import main
 
 from oracles import exact_pmf, p_value_fsum
@@ -19,7 +21,7 @@ def run_cli(capsys, *argv):
 
 
 def _computed_before_the_gate(*args):
-    raise AssertionError("computed before the budget refused the request")
+    raise AssertionError("computed before the request was refused")
 
 
 class TestUsageErrors:
@@ -164,7 +166,7 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert "--tolerance" in err
+        assert "tolerance must be >= 0, got nan" in err
 
     def test_negative_tolerance_exits_2(self, capsys, monkeypatch):
         # below minus the payoff range the stop rule never holds; the cap
@@ -182,7 +184,7 @@ class TestUsageErrors:
         )
         assert code == 2
         assert out == ""
-        assert "--tolerance" in err
+        assert "tolerance must be >= 0, got -1.5" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -209,7 +211,10 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "disagree on the number of categories" in err
+        assert {
+            "pvalue": "phat has 2 categories, p has 3",
+            "region": "phat has 2 categories, so points must have shape (G, 2); got (1, 3)",
+        }[argv[0]] in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -217,6 +222,7 @@ class TestUsageErrors:
             ("region", "--phat", "0,0", "--p", "0.5,0.5", "--construction", "polytope"),
             ("volume", "--k", "2", "--n", "0", "--construction", "sanov"),
             ("volume", "--k", "2", "--n", "0", "--construction", "polytope"),
+            # the level-set dump alone would succeed
             ("region", "--phat", "0,0", "--grid", "50", "--construction", "all"),
         ],
     )
@@ -224,14 +230,90 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "constructions need n >= 1" in err
+        assert re.search(r"n must be >= 1 for the (sanov|polytope) region, got 0", err)
 
     @pytest.mark.parametrize("grid", ["1", "49"])
     def test_volume_grid_below_its_least_resolution_exits_2(self, capsys, grid):
         code, out, err = run_cli(capsys, "volume", "--k", "2", "--n", "3", "--grid", grid)
         assert code == 2
         assert out == ""
-        assert "--grid must be >= 50" in err
+        assert "resolution must be >= 50" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--phat", "1,2,2", "--grid", "0"),
+            ("region", "--phat", "1,2,2", "--grid", "-3"),
+            ("region", "--phat", "1,2,2", "--p", "0.2,0.4,0.4", "--grid", "0"),
+            ("widths", "--n-list", "10", "--grid", "0"),
+        ],
+    )
+    def test_grid_below_1_exits_2(self, capsys, argv):
+        # a grid of 0 is refused, not read as the default resolution
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "resolution must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # numpy's Generator refuses the seed
+            (("bandit", "--seed", "-1", "--trials", "1", "--methods", "hoeffding"),
+             "expected non-negative integer"),
+            # the collection's own invariant: the float table mass stays below 1 - delta
+            (("covering", "--p", "0.5,0.5", "--n", "5", "--delta", "1e-17"),
+             "collection mass 0.9999999999999999 below required 1.0"),
+            # EmpiricalDistribution refuses a negative count
+            (("region", "--phat=1,-2", "--grid", "10"), "counts must be nonnegative"),
+        ],
+    )
+    def test_library_value_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--phat", "0,0", "--grid", "50", "--construction", "all",
+             "--out", "f.json"),
+            ("region", "--phat", "1,2,2", "--grid", "0", "--out", "f.json"),
+            ("widths", "--n-list", "10,20", "--delta", "1", "--out", "f.csv"),
+            ("volume", "--k", "2", "--n", "3", "--grid", "49", "--out", "f.json"),
+            ("covering", "--p", "0.5,0.6", "--n", "3", "--out", "f.csv"),
+            ("bandit", "--seed", "-1", "--trials", "1", "--methods", "hoeffding",
+             "--out", "f.csv"),
+        ],
+    )
+    def test_refused_command_writes_nothing(self, capsys, monkeypatch, tmp_path, argv):
+        # no level-set membership is computed before the refusal
+        monkeypatch.setattr(regions, "levelset_membership_grid", _computed_before_the_gate)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ValueError("bad input"), 2),
+            (core.OverBudgetError("too big"), 2),
+            (EmptyScanError("no member"), 1),
+            (OverflowError("overflow"), 1),
+        ],
+    )
+    def test_exit_code_follows_the_exception_type(self, capsys, monkeypatch, error, code):
+        import simplexcr.cli as cli_mod
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "covering_collection", fail)
+        result = run_cli(capsys, "covering", "--p", "0.5,0.5", "--n", "4")
+        assert result == (code, "", f"error: {error}\n")
 
 
 # Each subcommand's defaults: omitting the option gives the bytes of passing it.

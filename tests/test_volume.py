@@ -12,7 +12,7 @@ from simplexcr import (
 )
 from simplexcr.regions import covering_sizes_grid
 
-from oracles import k2_region_measure_bisection
+from oracles import k2_region_measure_bisection, k2_region_runs
 
 
 class TestRegionVolume:
@@ -71,6 +71,25 @@ class TestAverageVolume:
         report = average_volume(RegionSpec(0.7, "levelset", 5, 3), M)
         integral = covering_size_integral(5, 3, 0.7, M)
         assert report.total == pytest.approx(integral, abs=3.0 / M)
+
+    @pytest.mark.parametrize("n, delta", [(5, 0.3), (8, 0.1)])
+    def test_two_way_counting_identity_at_k2_against_bisection(self, n, delta):
+        # Summed over the n + 1 outcomes, the regions' lengths in p1 equal
+        # the integral of f(p1) = |S(p1, 1 - p1)| over [0, 1] (duality and
+        # Fubini). f is a step function in [1, n + 1] whose jumps lie at the
+        # regions' edges inside (0, 1), J in all, so its left Riemann sum
+        # on the grid's M cells is within J / M of the integral, and the
+        # grid's (M + 1)-point mean within n / (M + 1) of that sum.
+        M = 20_000
+        runs = [
+            run
+            for c in range(n + 1)
+            for run in k2_region_runs(EmpiricalDistribution((c, n - c)), delta)
+        ]
+        total = sum(end - start for start, end in runs)
+        jumps = sum(end not in (0.0, 1.0) for run in runs for end in run)
+        integral = covering_size_integral(n, 2, delta, M)
+        assert total == pytest.approx(integral, abs=(jumps + n) / M)
 
     def test_report_fields(self):
         report = average_volume(RegionSpec(0.3, "sanov", 4, 2), 120)

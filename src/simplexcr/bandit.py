@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimplexPoint
+from .core import SimplexPoint, _check_delta, _check_same_k
 from .functionals import LinearFunctional, _kl_ball_sup, _kl_bernoulli_end
 from .regions import _kl_ball_offset
 
@@ -39,10 +39,7 @@ class Arm:
     values: LinearFunctional
 
     def __post_init__(self) -> None:
-        if self.pmf.k != self.values.k:
-            raise ValueError(
-                f"pmf has {self.pmf.k} categories but values has {self.values.k}"
-            )
+        _check_same_k("pmf", self.pmf.k, "values", self.values.k)
 
     @property
     def true_mean(self) -> float:
@@ -168,8 +165,7 @@ def lucb_run(
     """
     if len(arms) < 2:
         raise ValueError("need at least two arms")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     if not tolerance >= 0.0:  # also refuses nan
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if method not in METHODS:

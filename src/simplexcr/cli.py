@@ -198,21 +198,19 @@ def cmd_widths(config: argparse.Namespace) -> int:
     values = LinearFunctional((0.0, 0.5, 1.0))
     header = ["n", "method", "lower", "upper", "width", "note"]
     rows: list[list] = []
+    sweep = []
     for n in config.n_list:  # any n's spec, grid or table is refused before the first interval
-        RegionSpec(delta, "levelset", n, 3)
-        SimplexGrid(3, scan_resolution(n) if config.grid is None else config.grid).points
-        compositions_array(3, n)
-    for n in config.n_list:
         base = int(round(n / 10.0))
-        counts = (base, base, n - 2 * base)
-        note = ""
-        if n % 10 != 0:
-            note = f"counts adjusted to {counts}"
-            rows.append([n, "warning", "", "", "", note])
-        phat = EmpiricalDistribution(counts)
-        mean_hat = values.apply(phat.as_point())
-        resolution = scan_resolution(n) if config.grid is None else config.grid
+        phat = EmpiricalDistribution((base, base, n - 2 * base))
         spec = RegionSpec(delta, "levelset", n, 3)
+        resolution = scan_resolution(n) if config.grid is None else config.grid
+        SimplexGrid(3, resolution).points
+        compositions_array(3, n)
+        sweep.append((n, phat, spec, resolution))
+    for n, phat, spec, resolution in sweep:
+        if n % 10 != 0:
+            rows.append([n, "warning", "", "", "", f"counts adjusted to {phat.counts}"])
+        mean_hat = values.apply(phat.as_point())
         intervals = {
             "levelset": functional_interval(phat, values, delta, spec, M=resolution),
             "hoeffding": hoeffding_interval(mean_hat, n, delta),

@@ -1,5 +1,7 @@
 """Simplex primitives: discrete and continuous simplex points, composition
-enumeration, the multinomial log-pmf, and KL divergences.
+enumeration, the multinomial log-pmf, KL divergences, and the library's
+input rules, one writer each, which every entry that takes the input calls
+before it builds anything.
 
 All probability arithmetic runs in natural-log space through the log-gamma
 function. Exact big-rational cross-checks live in the test suite only.
@@ -46,6 +48,36 @@ _SUM_BLOCK = 1 << 16
 _LOG_ZERO = -1e18
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:  # also refuses nan
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
+def _check_n(n: int, least: int = 1) -> None:
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
+
+
+def _check_same_k(a: str, ka: int, b: str, kb: int) -> None:
+    if ka != kb:
+        raise ValueError(f"{a} has {ka} categories, {b} has {kb}")
+
+
+def _as_points(points, k: int) -> np.ndarray:
+    """``points`` as a float array of shape (G, k); any other shape is refused."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != k:
+        raise ValueError(
+            f"phat has {k} categories, so points must have shape (G, {k}); got {points.shape}"
+        )
+    return points
+
+
 @dataclass(frozen=True, order=True)
 class EmpiricalDistribution:
     """Per-category counts observed in a sample; an element of the discrete
@@ -56,8 +88,7 @@ class EmpiricalDistribution:
 
     def __post_init__(self) -> None:
         counts = tuple(operator.index(c) for c in self.counts)
-        if len(counts) < 1:
-            raise ValueError("need at least one category")
+        _check_k(len(counts))
         if any(c < 0 for c in counts):
             raise ValueError(f"counts must be nonnegative, got {counts}")
         object.__setattr__(self, "counts", counts)
@@ -92,8 +123,6 @@ class SimplexPoint:
 
     def __post_init__(self, normalize: bool) -> None:
         probs = tuple(float(x) for x in self.probs)
-        if len(probs) < 1:
-            raise ValueError("need at least one category")
         if any(x < 0.0 for x in probs):
             raise ValueError(f"probabilities must be nonnegative, got {probs}")
         if not all(math.isfinite(x) for x in probs):
@@ -105,9 +134,7 @@ class SimplexPoint:
             probs = tuple(x / total for x in probs)
             total = math.fsum(probs)
         if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(
-                f"probabilities sum to {total!r}; pass normalize=True to rescale"
-            )
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -124,10 +151,8 @@ class SimplexPoint:
 
 def simplex_size(k: int, n: int) -> int:
     """Number of count vectors of length k summing to n."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_k(k)
+    _check_n(n, 0)
     return math.comb(n + k - 1, k - 1)
 
 
@@ -348,8 +373,7 @@ class SimplexGrid:
     resolution: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_k(self.k)
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
 

@@ -28,6 +28,7 @@ from .core import (
     SimplexPoint,
     log_weights,
 )
+from .core import _check_delta, _check_k, _check_n, _check_same_k
 from .regions import RegionSpec, membership_grid, phat_mass_survivors
 
 
@@ -39,8 +40,7 @@ class LinearFunctional:
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
-        if len(vals) < 1:
-            raise ValueError("need at least one category")
+        _check_k(len(vals))
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"values must be finite, got {vals}")
         object.__setattr__(self, "values", vals)
@@ -54,8 +54,7 @@ class LinearFunctional:
         return (min(self.values), max(self.values))
 
     def apply(self, p: SimplexPoint) -> float:
-        if p.k != self.k:
-            raise ValueError(f"dimension mismatch: {p.k} vs {self.k}")
+        _check_same_k("f", self.k, "p", p.k)
         return float(math.fsum(v * x for v, x in zip(self.values, p.probs)))
 
 
@@ -71,8 +70,8 @@ class IntervalResult:
     scan_coverage: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
+        if not self.lower <= self.upper:  # also refuses a nan end
+            raise ValueError(f"lower {self.lower} is not <= upper {self.upper}")
 
     @property
     def width(self) -> float:
@@ -136,11 +135,9 @@ def functional_interval(
     draws, more raise OverBudgetError before any is drawn); the member
     fraction is reported as ``scan_coverage``.
     """
-    if f.k != phat.k:
-        raise ValueError(f"dimension mismatch: {f.k} vs {phat.k}")
-    if spec.n != phat.n or spec.k != phat.k:
-        raise ValueError("spec does not match phat")
-    if abs(spec.delta - delta) > 1e-12:
+    _check_same_k("phat", phat.k, "f", f.k)
+    spec._check_phat(phat)
+    if not abs(spec.delta - delta) <= 1e-12:  # also refuses a nan delta
         raise ValueError(f"delta {delta} disagrees with spec.delta {spec.delta}")
     vals = np.asarray(f.values)
     lo_range, hi_range = f.value_range
@@ -205,6 +202,8 @@ def functional_interval(
 
 def _clamped(lower: float, upper: float, rng: tuple[float, float], method: str) -> IntervalResult:
     a, b = rng
+    if not a <= b:
+        raise ValueError(f"value_range must have its lower end first, got {rng}")
     return IntervalResult(
         lower=min(max(lower, a), b), upper=max(min(upper, b), a), method=method
     )
@@ -217,10 +216,8 @@ def hoeffding_interval(
     value_range: tuple[float, float] = (0.0, 1.0),
 ) -> IntervalResult:
     """Two-sided Hoeffding interval for a mean supported on value_range."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_n(n)
+    _check_delta(delta)
     a, b = value_range
     radius = (b - a) * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
     return _clamped(mean_hat - radius, mean_hat + radius, value_range, "hoeffding")
@@ -236,12 +233,10 @@ def oracle_chernoff_interval(
     """Sub-Gaussian interval using the true variance as the proxy; the best
     interval any sub-Gaussian tail bound could give with perfect knowledge
     of scale."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if variance_true < 0.0:
-        raise ValueError("variance must be nonnegative")
+    _check_n(n)
+    _check_delta(delta)
+    if not variance_true >= 0.0:  # also refuses nan
+        raise ValueError(f"variance must be nonnegative, got {variance_true}")
     radius = math.sqrt(2.0 * variance_true * math.log(2.0 / delta) / n)
     return _clamped(
         mean_hat - radius, mean_hat + radius, value_range, "oracle-chernoff"
@@ -260,8 +255,7 @@ def empirical_bernstein_interval(
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples to estimate variance")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     a, b = value_range
     mean_hat = float(x.mean())
     var_hat = float(x.var(ddof=1))
@@ -280,10 +274,8 @@ def kl_bernoulli_interval(mean_hat: float, n: int, delta: float) -> IntervalResu
     end the two-point KL ball's bound from _kl_bernoulli_end."""
     if not 0.0 <= mean_hat <= 1.0:
         raise ValueError(f"mean must lie in [0, 1], got {mean_hat}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_n(n)
+    _check_delta(delta)
     level = math.log(2.0 / delta) / n
     return IntervalResult(
         lower=_kl_bernoulli_end(mean_hat, level, 0.0),

@@ -41,6 +41,7 @@ from .core import (
     outcome_log_pmf,
     simplex_size,
 )
+from .core import _as_points, _check_delta, _check_k, _check_n, _check_same_k
 
 KINDS = ("levelset", "sanov", "polytope")
 
@@ -61,16 +62,20 @@ class RegionSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+        _check_k(self.k)
+        _check_n(self.n, 0)
         if self.kind != "levelset" and self.n < 1:
             raise ValueError(f"n must be >= 1 for the {self.kind} region, got {self.n}")
+
+    def _check_phat(self, phat: EmpiricalDistribution) -> None:
+        """Refuse a phat from another sampling regime than this spec's."""
+        if (phat.k, phat.n) != (self.k, self.n):
+            raise ValueError(
+                f"phat lies in Delta_({phat.k},{phat.n}), the spec in Delta_({self.k},{self.n})"
+            )
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,7 @@ def covering_collection(p: SimplexPoint, n: int, delta: float) -> CoveringCollec
     n-sample outcomes by probability under p (the kernel's log-pmf) and keep
     the shortest prefix whose correctly rounded mass reaches 1 - delta,
     bisected on a float cumsum that exact_sum redoes in its _near_target band."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     coef, w = log_coefficients(p.k, n), log_weights(p.as_array())[None, :]
     logp = _log_pmf_block(coef, compositions_array(p.k, n).astype(float), w)[:, 0]
     order = _probability_ordering(logp)
@@ -194,8 +198,7 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
     outcomes not ranked before phat, member_of_covering those ranked before
     it, and the float pmfs of all outcomes do not sum to exactly 1.
     """
-    if phat.k != p.k:
-        raise ValueError(f"phat has {phat.k} categories, p has {p.k}")
+    _check_same_k("phat", phat.k, "p", p.k)
     logp = outcome_log_pmf(p.k, phat.n, p.as_array())
     q = logp[composition_rank(phat.counts)]
     include = logp <= q + LOG_TIE_TOL
@@ -207,10 +210,8 @@ def p_value(phat: EmpiricalDistribution, p: SimplexPoint) -> float:
 def sanov_threshold(k: int, n: int, delta: float) -> float:
     """KL radius of the Sanov-type region, from the sharpened concentration
     constant 2(k-1) exp(-nz/(k-1))."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_delta(delta)
+    _check_n(n)
     if k == 1:
         return 0.0
     return (k - 1) * math.log(2.0 * (k - 1) / delta) / n
@@ -218,10 +219,8 @@ def sanov_threshold(k: int, n: int, delta: float) -> float:
 
 def polytope_threshold(k: int, n: int, delta: float) -> float:
     """Per-marginal KL radius after splitting delta/k across coordinates."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_delta(delta)
+    _check_n(n)
     return math.log(2.0 * k / delta) / n
 
 
@@ -284,8 +283,7 @@ def kl_ball_radius(counts, delta: float) -> float:
     KL(phat || p), so p survives the prune iff n KL(phat || p) < r, and
     every member survives. As log C <= n H, r <= 2k log(n + 1) - log delta,
     the method-of-types radius."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     return _kl_ball_offset(counts) + math.log(2.0 / delta)
 
 
@@ -350,12 +348,9 @@ def levelset_membership_grid(
     not depend on the block a point is in, so a one-row call and a
     many-row call give the same answer bit for bit.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    points = np.asarray(points, dtype=float)
+    _check_delta(delta)
     n, k = phat.n, phat.k
-    if points.shape[1] != k:
-        raise ValueError("points do not match phat's dimension")
+    points = _as_points(points, k)
     counts = compositions_array(k, n)
     num = len(counts)
     idx = composition_rank(phat.counts)
@@ -403,14 +398,14 @@ def sanov_membership_grid(
     points: np.ndarray,
 ) -> np.ndarray:
     thr = sanov_threshold(phat.k, phat.n, delta)
-    return kl_to_many(phat.as_point().as_array(), np.asarray(points, float)) <= thr
+    return kl_to_many(phat.as_point().as_array(), _as_points(points, phat.k)) <= thr
 
 
 def polytope_membership_grid(
     phat: EmpiricalDistribution, delta: float, points: np.ndarray
 ) -> np.ndarray:
     thr = polytope_threshold(phat.k, phat.n, delta)
-    divs = kl_bernoulli_many(phat.as_point().as_array(), np.asarray(points, float))
+    divs = kl_bernoulli_many(phat.as_point().as_array(), _as_points(points, phat.k))
     return divs.max(axis=1) <= thr
 
 
@@ -418,15 +413,8 @@ def membership_grid(
     phat: EmpiricalDistribution, spec: RegionSpec, points: np.ndarray
 ) -> np.ndarray:
     """Membership of every row of ``points`` in the region of ``phat``
-    built per ``spec``."""
-    if phat.n != spec.n or phat.k != spec.k:
-        raise ValueError("spec does not match the supplied phat")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != spec.k:
-        raise ValueError(
-            f"phat has {spec.k} categories, so points must have shape (G, {spec.k}); "
-            f"got {points.shape}"
-        )
+    built per ``spec``; each kind refuses points of another shape than (G, k)."""
+    spec._check_phat(phat)
     if spec.kind == "sanov":
         return sanov_membership_grid(phat, spec.delta, points)
     if spec.kind == "polytope":
@@ -439,9 +427,8 @@ def covering_sizes_grid(
 ) -> np.ndarray:
     """Size of the covering collection at every row of ``points``; the
     integrand of the two-way volume counting identity."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    points = np.asarray(points, dtype=float)
+    _check_delta(delta)
+    points = _as_points(points, k)
     counts_f = compositions_array(k, n).astype(float)
     num = len(counts_f)
     logcoef = log_coefficients(k, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EmpiricalDistribution, SimplexGrid, enumerate_simplex
+from .core import EmpiricalDistribution, SimplexGrid, _check_delta, enumerate_simplex
 from .regions import RegionSpec, covering_sizes_grid, membership_grid
 
 MIN_RESOLUTION = 50  # least grid resolution M for a usable estimate
@@ -27,21 +27,23 @@ class VolumeReport:
     grid_resolution: int
 
 
-def region_volume(phat: EmpiricalDistribution, spec: RegionSpec, M: int) -> float:
-    """Fraction of the resolution-M grid inside the region of ``phat``."""
+def _volume_grid(k: int, M: int) -> SimplexGrid:
+    """The resolution-M grid, refused below MIN_RESOLUTION."""
     if M < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
-    points = SimplexGrid(spec.k, M).points
-    return float(membership_grid(phat, spec, points).mean())
+    return SimplexGrid(k, M)
+
+
+def region_volume(phat: EmpiricalDistribution, spec: RegionSpec, M: int) -> float:
+    """Fraction of the resolution-M grid inside the region of ``phat``."""
+    return float(membership_grid(phat, spec, _volume_grid(spec.k, M).points).mean())
 
 
 def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
     """Sum of region volumes over every possible outcome."""
-    if M < MIN_RESOLUTION:  # refused before the outcomes are enumerated
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
-    SimplexGrid(spec.k, M).points  # an oversized grid is refused before the outcomes
+    points = _volume_grid(spec.k, M).points  # refused before the outcomes are enumerated
     outcomes = enumerate_simplex(spec.k, spec.n)
-    per_phat = {phat: region_volume(phat, spec, M) for phat in outcomes}
+    per_phat = {phat: float(membership_grid(phat, spec, points).mean()) for phat in outcomes}
     return VolumeReport(
         per_phat=per_phat,
         total=float(sum(per_phat.values())),
@@ -53,7 +55,5 @@ def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
 def covering_size_integral(n: int, k: int, delta: float, M: int) -> float:
     """Average covering-collection size over the grid: the independent side
     of the two-way counting identity for the summed region volumes."""
-    if M < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} for a usable estimate")
-    points = SimplexGrid(k, M).points
-    return float(covering_sizes_grid(n, k, delta, points).mean())
+    _check_delta(delta)  # before the grid is built
+    return float(covering_sizes_grid(n, k, delta, _volume_grid(k, M).points).mean())

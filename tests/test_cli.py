@@ -151,6 +151,18 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--phat", "1,2,2", "--p", "0.2,0.4,0.5"),
+            ("pvalue", "--phat", "1,2,2", "--p", "0.2,0.4,0.5"),
+            ("covering", "--p", "0.2,0.4,0.5", "--n", "3"),
+        ],
+    )
+    def test_p_off_the_simplex_sum_exits_2(self, capsys, argv):
+        # the message gives no advice that --p cannot follow
+        assert run_cli(capsys, *argv) == (2, "", "error: probabilities must sum to 1, got 1.1\n")
+
     def test_nan_tolerance_exits_2(self, capsys, monkeypatch):
         # a nan tolerance never stops a run; the cap keeps a miss quick
         import simplexcr.cli as cli_mod
@@ -444,6 +456,22 @@ class TestWidths:
         warn = [r for r in rows[1:] if r[1] == "warning"]
         assert len(warn) == 1
         assert "adjusted" in warn[0][5]
+
+    def test_each_n_is_built_once(self, capsys, monkeypatch):
+        # every n is refused, if at all, before the first interval, and its
+        # spec is built once for both the refusal and the interval
+        import simplexcr.cli as cli_mod
+
+        specs = []
+
+        def counted(*args):
+            specs.append(args)
+            return RegionSpec(*args)
+
+        monkeypatch.setattr(cli_mod, "RegionSpec", counted)
+        code, _, _ = run_cli(capsys, "widths", "--n-list", "10,20")
+        assert code == 0
+        assert [spec[2] for spec in specs] == [10, 20]
 
     def test_levelset_tighter_than_hoeffding(self, capsys):
         _, out, _ = run_cli(capsys, "widths", "--n-list", "20")

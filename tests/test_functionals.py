@@ -58,6 +58,21 @@ class TestIntervalResult:
     def test_width(self):
         assert IntervalResult(0.25, 0.75, "x").width == 0.5
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: hoeffding_interval(math.nan, 10, 0.1), "lower nan"),
+            (lambda: oracle_chernoff_interval(0.5, math.nan, 10, 0.1), "variance"),
+            (lambda: empirical_bernstein_interval([math.nan, 1.0], 0.1), "lower nan"),
+            (lambda: hoeffding_interval(0.5, 10, 0.1, (1.0, 0.0)), "value_range"),
+            (lambda: IntervalResult(math.nan, 1.0, "x"), "lower nan"),
+        ],
+    )
+    def test_no_nan_or_reversed_interval(self, call, match):
+        # each returned [nan, nan] (or [0, 1] for the reversed range) before
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 class TestFunctionalInterval:
     def test_constant_functional_collapses(self):
@@ -134,6 +149,8 @@ class TestFunctionalInterval:
         spec = RegionSpec(0.7, "levelset", 20, 3)
         with pytest.raises(ValueError):
             functional_interval(phat, MEAN3, 0.3, spec)
+        with pytest.raises(ValueError, match="disagrees"):
+            functional_interval(phat, MEAN3, math.nan, spec)
 
     def test_monte_carlo_path_for_k4(self):
         phat = EmpiricalDistribution((2, 3, 3, 2))

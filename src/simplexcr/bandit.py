@@ -170,6 +170,8 @@ def lucb_run(
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if seed < 0:  # numpy's Generator would refuse it without naming it
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     bounds = _BOUNDS[method](arms)
     num_arms = len(arms)

@@ -3,8 +3,13 @@ enumeration, the multinomial log-pmf, KL divergences, and the library's
 input rules, one writer each, which every entry that takes the input calls
 before it builds anything.
 
-All probability arithmetic runs in natural-log space through the log-gamma
-function. Exact big-rational cross-checks live in the test suite only.
+All probability arithmetic runs in natural-log space. The one special
+function it needs, log m! at whole m, comes from ``_log_factorials``: the
+log of the standard library's exact factorial up to 11!, and past it
+cephes' Stirling series with libm's ``log``. Both give the bits of
+``scipy.special.gammaln``, which runs the same cephes code, without
+importing scipy. Exact big-rational
+cross-checks live in the test suite only.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ from collections import OrderedDict, namedtuple
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 #: tolerance on |sum(probs) - 1| accepted at SimplexPoint construction
 SUM_TOL = 1e-12
@@ -41,6 +45,23 @@ _CACHE_BYTES = (5 + 1) * 8 * MAX_GRID_POINTS
 
 # Values per block of exact_sum: bounds its temporaries to a few MB.
 _SUM_BLOCK = 1 << 16
+
+# cephes' lgam, which scipy.special.gammaln runs, at 13 <= x <= 1e8: the
+# Stirling series (x - 0.5) log x - x + log sqrt(2 pi), plus a correction
+# polynomial in 1 / x^2 over x, of degree 4 below x = 1000 and 2 from there.
+_LS2PI = 0.91893853320467274178
+_STIRLING_BELOW_1000 = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_STIRLING_FROM_1000 = (
+    7.9365079365079365079365e-4,
+    -2.7777777777777777777778e-3,
+    0.0833333333333333333333,
+)
 
 # Finite stand-in for log(0) in vectorized matmul paths. exp() of anything
 # at this scale underflows to exactly 0.0, and 0 * _LOG_ZERO is 0.0 rather
@@ -266,15 +287,49 @@ def composition_rank(counts: tuple[int, ...]) -> int:
     return rank
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0..n, bit for bit ``scipy.special.gammaln(m + 1)``.
+
+    gammaln is cephes' lgam. At x = m + 1 <= 12, lgam takes the log of the
+    exact product (x - 1)!, as here. From x = 13 it sums the Stirling
+    series, as here, in cephes' order and in numpy's IEEE arithmetic. Its
+    log x is libm's, so here it is ``math.log`` of the integer x (converted
+    to float exactly), not ``np.log``, whose log differs from libm's in the
+    last bit at some x. Past x = 1e8 lgam drops the correction polynomial
+    and this port does not, so it holds for n < 1e8: callers pass k >= 2
+    tables' n, and such a table's n + 1 <= MAX_GRID_POINTS rows bound it."""
+    out = np.empty(n + 1)
+    out[:12] = [math.log(math.factorial(m)) for m in range(min(n + 1, 12))]
+    x = np.arange(13.0, n + 2.0)
+    q = (x - 0.5) * np.fromiter(map(math.log, range(13, n + 2)), float, len(x)) - x + _LS2PI
+    p = 1.0 / (x * x)
+    cut = 1000 - 13  # x[cut] = 1000
+    for part, coefs in (
+        (slice(cut), _STIRLING_BELOW_1000),
+        (slice(cut, None), _STIRLING_FROM_1000),
+    ):
+        poly = coefs[0]
+        for c in coefs[1:]:
+            poly = poly * p[part] + c
+        q[part] += poly / x[part]
+    out[12:] = q
+    return out
+
+
 @_byte_cached
 def log_coefficients(k: int, n: int) -> np.ndarray:
     """Log multinomial coefficients log(n! / prod c_j!) of the rows of
     ``compositions_array(k, n)``, in the same order, as a read-only array.
-    Kept in the byte-budgeted cache it shares with ``compositions_array``
-    (least recently used evicted first); callers must not modify."""
-    counts = compositions_array(k, n)  # the budget gate, before gammaln's table
-    lg = gammaln(np.arange(n + 2))
-    out = lg[n + 1] - lg[counts + 1].sum(axis=1)
+    At k = 1 the one coefficient is n! / n! = 1, and no table of log
+    factorials is built, whatever n. Kept in the byte-budgeted cache it
+    shares with ``compositions_array`` (least recently used evicted first);
+    callers must not modify."""
+    counts = compositions_array(k, n)  # the budget gate, before the log factorials
+    if k == 1:
+        out = np.zeros(1)
+    else:
+        lg = _log_factorials(n)
+        out = lg[n] - lg[counts].sum(axis=1)
     out.setflags(write=False)
     return out
 

@@ -180,6 +180,7 @@ def member_of_covering(
     """Decide phat in S(p) without materializing the sorted ordering: the
     one-row case of levelset_membership_grid, whose docstring states the
     rule."""
+    _check_same_k("phat", phat.k, "p", p.k)
     return bool(levelset_membership_grid(phat, delta, p.as_array()[None, :])[0])
 
 
@@ -232,6 +233,7 @@ def region_membership(
     The one-row case of membership_grid, for every construction kind; the
     level-set answer is member_of_covering's.
     """
+    _check_same_k("phat", phat.k, "p", p.k)
     return bool(membership_grid(phat, spec, p.as_array()[None, :])[0])
 
 

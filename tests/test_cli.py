@@ -96,7 +96,7 @@ class TestUsageErrors:
             ("pvalue", "--phat", "2000,0,0,0", "--p", "0.25,0.25,0.25,0.25"),
             ("volume", "--k", "5", "--n", "200", "--grid", "50"),
             ("volume", "--k", "3", "--n", "5", "--grid", "100000"),
-            # two categories: gammaln over 0..n would be 16 GB before the table
+            # two categories: log factorials over 0..n would be 8 GB before the table
             ("pvalue", "--phat", "1000000000,0", "--p", "0.5,0.5"),
             ("covering", "--p", "0.5,0.5", "--n", "1000000000"),
             # an in-budget table of 4.5e6 outcomes, an over-budget grid
@@ -107,12 +107,30 @@ class TestUsageErrors:
     )
     def test_every_oversized_request_exits_2(self, capsys, monkeypatch, argv):
         # refused before any log-coefficient table is computed
-        monkeypatch.setattr(core, "gammaln", _computed_before_the_gate)
+        monkeypatch.setattr(core, "_log_factorials", _computed_before_the_gate)
         core.log_coefficients.cache_clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "Delta_(" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pvalue", "--phat", "1000000000", "--p", "1.0"),
+            ("covering", "--p", "1.0", "--n", "1000000000"),
+        ],
+    )
+    def test_one_category_builds_no_log_factorials(self, capsys, monkeypatch, argv):
+        # one outcome, whose coefficient n! / n! = 1 needs no table of n + 1 entries
+        monkeypatch.setattr(core, "_log_factorials", _computed_before_the_gate)
+        core.log_coefficients.cache_clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == {
+            "pvalue": "1.0\n",
+            "covering": "rank,c1,probability,cumulative\n1,1000000000,1.0,1.0\n",
+        }[argv[0]]
 
     def test_volume_refuses_its_grid_before_enumerating_outcomes(self, capsys, monkeypatch):
         # 4.5e6 outcomes are within the budget, a resolution-4000 grid is not
@@ -225,7 +243,7 @@ class TestUsageErrors:
         assert out == ""
         assert {
             "pvalue": "phat has 2 categories, p has 3",
-            "region": "phat has 2 categories, so points must have shape (G, 2); got (1, 3)",
+            "region": "phat has 2 categories, p has 3",
         }[argv[0]] in err
 
     @pytest.mark.parametrize(
@@ -270,9 +288,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # numpy's Generator refuses the seed
+            # lucb_run refuses the seed before numpy's Generator sees it
             (("bandit", "--seed", "-1", "--trials", "1", "--methods", "hoeffding"),
-             "expected non-negative integer"),
+             "seed must be >= 0, got -1"),
             # the collection's own invariant: the float table mass stays below 1 - delta
             (("covering", "--p", "0.5,0.5", "--n", "5", "--delta", "1e-17"),
              "collection mass 0.9999999999999999 below required 1.0"),

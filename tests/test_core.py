@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from simplexcr import (
     EmpiricalDistribution,
@@ -16,6 +15,7 @@ from simplexcr import core
 from simplexcr.core import (
     MAX_GRID_POINTS,
     _grid_points,
+    _log_factorials,
     composition_rank,
     compositions_array,
     exact_sum,
@@ -174,12 +174,25 @@ class TestEnumeration:
         assert [i.misses - j.misses for i, j in zip(after, infos)] == [2, 1, 0]
 
     def test_log_coefficients_match_gammaln(self):
+        gammaln = pytest.importorskip("scipy.special").gammaln
         for k, n in [(1, 7), (2, 0), (3, 0), (3, 40), (4, 12), (5, 9)]:
             counts = compositions_array(k, n)
             want = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
             got = log_coefficients(k, n)
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
+
+    def test_log_factorials_are_gammalns_bits(self):
+        """The port matches scipy.special.gammaln bit for bit on every m up
+        to the largest n a table within the budget has. The match rests on
+        both calling the same libm ``log`` for x >= 13; this checks it on
+        the machine that runs the suite."""
+        gammaln = pytest.importorskip("scipy.special").gammaln
+        n = MAX_GRID_POINTS
+        got = _log_factorials(n)
+        want = gammaln(np.arange(1, n + 2, dtype=float))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _log_pmf(counts, probs) -> float:

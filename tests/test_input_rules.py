@@ -19,8 +19,10 @@ from simplexcr import (
     hoeffding_interval,
     kl_bernoulli_interval,
     lucb_run,
+    member_of_covering,
     oracle_chernoff_interval,
     p_value,
+    region_membership,
     sanov_threshold,
 )
 from simplexcr.core import compositions_array
@@ -78,6 +80,13 @@ def test_every_entry_refuses_delta_outside_0_1(entry, delta):
             RegionSpec(0.5, "levelset", 3, 2)),
          "phat has 2 categories, f has 3"),
         (lambda: p_value(EmpiricalDistribution((2, 2)), SimplexPoint((0.3, 0.3, 0.4))),
+         "phat has 2 categories, p has 3"),
+        (lambda: region_membership(
+            SimplexPoint((0.3, 0.3, 0.4)), EmpiricalDistribution((2, 2)),
+            RegionSpec(0.5, "sanov", 4, 2)),
+         "phat has 2 categories, p has 3"),
+        (lambda: member_of_covering(
+            EmpiricalDistribution((2, 2)), SimplexPoint((0.3, 0.3, 0.4)), 0.5),
          "phat has 2 categories, p has 3"),
     ],
 )

@@ -357,14 +357,18 @@ class TestOuterBound:
                 assert lp >= -n * div - k * math.log(n + 1) - 1e-9
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """Special functions come from scipy.special, so importing the package
-    must not load scipy.stats, which alone more than doubles the import
-    time."""
+def test_import_loads_no_scipy():
+    """The package and its CLI need only numpy: the log factorials come
+    from the standard library, and importing scipy.special alone would
+    more than double a fresh process's start."""
     src = os.path.dirname(os.path.dirname(simplexcr.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, simplexcr; assert 'scipy.stats' not in sys.modules"
+    code = (
+        "import sys, simplexcr, simplexcr.cli; "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -6,7 +6,8 @@ construction is one bounds object with per-arm ends ``lower(a, counts,
 mean, n, delta_t)`` and ``upper(...)``; the loop picks it by method name
 and sees nothing else, so swapping constructions changes only the ends. A
 run stops as soon as the leader's lower end clears every rival's upper
-end minus the tolerance; a round asks for those K ends only.
+end minus the tolerance; a round asks for those K ends only. The
+level-set bounds hold one ``functionals._KlBallBracket`` per arm.
 
 Per-round error budget: at round t every arm's interval is built at
 delta / (K * t * (t + 1)), which sums to delta over all arms and rounds.
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimplexPoint, _check_delta, _check_same_k
-from .functionals import LinearFunctional, _kl_ball_sup, _kl_bernoulli_end
-from .regions import _kl_ball_offset
+from .functionals import LinearFunctional, _KlBallBracket, _kl_bernoulli_end
 
 _BENCHMARK_PMFS = (
     (0.1, 0.6, 0.3),
@@ -100,46 +100,17 @@ class _KlBernoulliBounds(_MeanBounds):
 
 
 class _LevelSetBounds:
-    """Level-set intervals relaxed to the KL ball that holds the region.
-
-    Every member p of an arm's level-set region satisfies n KL(phat || p) <
-    r = kl_ball_radius(counts, delta_t), so the payoff's range over that
-    ball, [-sup(-f).p, sup f.p] from _kl_ball_sup, clamped to the payoff
-    range, is a certified outer interval: wider than the region's exact
-    range, for any number of categories, with no grid. r less log(2 /
-    delta_t) and phat's weights are kept per arm until its counts change.
-    Each (arm, side) starts its solve from that side's last dual point, a
-    sound bound however stale, for about 3 dual evaluations per solve
-    against 8 cold. The state belongs to the instance, that is to one run.
-    """
+    """Level-set intervals relaxed to the KL ball that holds the region: one
+    ``_KlBallBracket`` per arm, whose state belongs to one run."""
 
     def __init__(self, arms: list[Arm]):
-        self.payoffs = [
-            ([-v for v in arm.values.values], list(arm.values.values)) for arm in arms
-        ]
-        self.ranges = [arm.values.value_range for arm in arms]
-        self.starts = [[None, None] for _ in arms]  # per arm: lower, upper end
-        self.balls = [None] * len(arms)  # per arm: counts, n, offset, weights
-
-    def _sup(self, a, counts, delta_t, side):
-        """sup over the ball of payoff -f (side 0) or f (side 1)."""
-        c = counts.tolist()
-        ball = self.balls[a]
-        if ball is None or ball[0] != c:
-            n = sum(c)
-            ball = self.balls[a] = (c, n, _kl_ball_offset(c), [x / n for x in c])
-        _, n, offset, w = ball
-        eps = (offset + math.log(2.0 / delta_t)) / n
-        sup, self.starts[a][side] = _kl_ball_sup(
-            self.payoffs[a][side], w, eps, self.starts[a][side]
-        )
-        return sup
+        self.brackets = [_KlBallBracket(arm.values) for arm in arms]
 
     def lower(self, a, counts, mean, n, delta_t):
-        return max(self.ranges[a][0], -self._sup(a, counts, delta_t, 0))
+        return self.brackets[a].end(counts, delta_t, 0)
 
     def upper(self, a, counts, mean, n, delta_t):
-        return min(self.ranges[a][1], self._sup(a, counts, delta_t, 1))
+        return self.brackets[a].end(counts, delta_t, 1)
 
 
 _BOUNDS = {

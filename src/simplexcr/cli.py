@@ -28,6 +28,7 @@ from .core import (
     SimplexPoint,
     compositions_array,
 )
+from .core import _check_budget
 from .functionals import (
     LinearFunctional,
     empirical_bernstein_interval,
@@ -204,8 +205,9 @@ def cmd_widths(config: argparse.Namespace) -> int:
         phat = EmpiricalDistribution((base, base, n - 2 * base))
         spec = RegionSpec(delta, "levelset", n, 3)
         resolution = scan_resolution(n) if config.grid is None else config.grid
-        SimplexGrid(3, resolution).points
-        compositions_array(3, n)
+        SimplexGrid(3, resolution)  # the resolution rule, which builds nothing
+        _check_budget(3, resolution)
+        _check_budget(3, n)
         sweep.append((n, phat, spec, resolution))
     for n, phat, spec, resolution in sweep:
         if n % 10 != 0:

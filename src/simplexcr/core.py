@@ -4,11 +4,15 @@ input rules, one writer each, which every entry that takes the input calls
 before it builds anything.
 
 All probability arithmetic runs in natural-log space. The one special
-function it needs, log m! at whole m, comes from ``_log_factorials``: the
-log of the standard library's exact factorial up to 11!, and past it
-cephes' Stirling series with libm's ``log``. Both give the bits of
+function it needs is log m! at whole m. The outcome tables' coefficients
+(``log_coefficients``) take it from ``_log_factorials``: the log of the
+standard library's exact factorial up to 11!, and past it cephes'
+Stirling series with libm's ``log``. Both give the bits of
 ``scipy.special.gammaln``, which runs the same cephes code, without
-importing scipy. Exact big-rational
+importing scipy. The KL-ball radius (``regions._kl_ball_offset``) takes
+its k + 1 terms from ``math.lgamma`` instead: a table per change of the
+counts would cost O(n) per pulled arm in the level-set bandit, and its
+different bits could move the bandit's ends by ulps. Exact big-rational
 cross-checks live in the test suite only.
 """
 from __future__ import annotations
@@ -243,6 +247,18 @@ class _ByteCache:
 _byte_cached = _ByteCache()
 
 
+def _check_budget(k: int, n: int) -> None:
+    """The budget rule: Delta_{k,n} of more than MAX_GRID_POINTS points, as
+    an outcome table or a scan grid, raises OverBudgetError. It builds
+    nothing, so a caller may check every request before the first build."""
+    size = simplex_size(k, n)
+    if size > MAX_GRID_POINTS:
+        raise OverBudgetError(
+            f"Delta_({k},{n}) has {size} points, more than {MAX_GRID_POINTS}; "
+            "no outcome table or grid that large is built"
+        )
+
+
 @_byte_cached
 def compositions_array(k: int, n: int) -> np.ndarray:
     """All count vectors of Delta_{k,n} as a read-only (size, k) int64
@@ -250,16 +266,11 @@ def compositions_array(k: int, n: int) -> np.ndarray:
     row's index is its ``composition_rank``. Column by column, each partial
     row with rest units left is repeated rest + 1 times with values 0..rest.
     Every outcome table and scan grid passes through here, so this is the
-    budget's one gate: more than MAX_GRID_POINTS rows raise OverBudgetError
-    before allocating. Kept in the byte-budgeted cache it shares with
+    budget's one gate: ``_check_budget`` refuses more than MAX_GRID_POINTS
+    rows before allocating. Kept in the byte-budgeted cache it shares with
     ``log_coefficients`` and the grid points (least recently used evicted
     first; a refused call keeps nothing); callers must not modify."""
-    size = simplex_size(k, n)
-    if size > MAX_GRID_POINTS:
-        raise OverBudgetError(
-            f"Delta_({k},{n}) has {size} points, more than {MAX_GRID_POINTS}; "
-            "no outcome table or grid that large is built"
-        )
+    _check_budget(k, n)
     arr = np.empty((1, 0), dtype=np.int64)
     rest = np.array([n], dtype=np.int64)
     for _ in range(k - 1):
@@ -301,18 +312,24 @@ def _log_factorials(n: int) -> np.ndarray:
     out = np.empty(n + 1)
     out[:12] = [math.log(math.factorial(m)) for m in range(min(n + 1, 12))]
     x = np.arange(13.0, n + 2.0)
-    q = (x - 0.5) * np.fromiter(map(math.log, range(13, n + 2)), float, len(x)) - x + _LS2PI
-    p = 1.0 / (x * x)
+    q = out[12:]  # computed in place, in the order of (x - 0.5) log x - x + LS2PI
+    q[:] = np.fromiter(map(math.log, range(13, n + 2)), float, len(x))
+    q *= x - 0.5
+    q -= x
+    q += _LS2PI
+    p = np.multiply(x, x)
+    np.divide(1.0, p, out=p)
     cut = 1000 - 13  # x[cut] = 1000
     for part, coefs in (
         (slice(cut), _STIRLING_BELOW_1000),
         (slice(cut, None), _STIRLING_FROM_1000),
     ):
-        poly = coefs[0]
+        poly = np.full_like(p[part], coefs[0])
         for c in coefs[1:]:
-            poly = poly * p[part] + c
-        q[part] += poly / x[part]
-    out[12:] = q
+            poly *= p[part]
+            poly += c
+        poly /= x[part]
+        q[part] += poly
     return out
 
 

@@ -7,11 +7,12 @@ resolution-controlled outer approximation.
 Baselines for width comparisons: the closed-form Hoeffding, oracle
 sub-Gaussian and empirical Bernstein intervals, and the two-point KL
 interval. One safeguarded Newton solver of the finite-support KL-UCB dual
-bounds f over a KL ball: for the level-set bandit's bracket, and, as its
-k = 2 case with f = (0, 1), for the two-point KL interval. Its ends are
-dual bounds: at or outside the exact ends in exact arithmetic, and tight
-to the dual's rounding in floats. A solve given no start begins from one
-cold start, the dual point of the two-point ball's second-order end.
+bounds f over a KL ball: for the level-set bracket, whose one writer
+``_KlBallBracket`` the bandit holds per arm, and, as its k = 2 case with
+f = (0, 1), for the two-point KL interval. Its ends are dual bounds: at
+or outside the exact ends in exact arithmetic, and tight to the dual's
+rounding in floats. A solve given no start begins from one cold start,
+the dual point of the two-point ball's second-order end.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .core import (
     log_weights,
 )
 from .core import _check_delta, _check_k, _check_n, _check_same_k
-from .regions import RegionSpec, membership_grid, phat_mass_survivors
+from .regions import RegionSpec, _kl_ball_offset, membership_grid, phat_mass_survivors
 
 
 @dataclass(frozen=True)
@@ -366,6 +367,34 @@ def _kl_ball_sup(
             if nxt == lo or nxt == hi:
                 return top + x - e, x
         x = nxt
+
+
+class _KlBallBracket:
+    """f's range over the KL ball n KL(phat || p) < kl_ball_radius(counts,
+    delta) that holds phat's level-set region: the level-set bracket, an
+    outer interval of the region's range for any k, with no grid. ``end(counts,
+    delta, side)``, counts an integer array, is -sup(-f).p (side 0) or sup
+    f.p (side 1) from _kl_ball_sup, clamped to f's range. The radius less
+    log(2 / delta) and phat's weights are kept until the counts change. Each
+    side starts from its last dual point, a sound bound however stale, for
+    about 3 dual evaluations per solve against 8 cold."""
+
+    def __init__(self, f: LinearFunctional):
+        self.payoffs = ([-v for v in f.values], list(f.values))
+        self.range = f.value_range
+        self.starts = [None, None]  # each side's last dual point
+        self.ball = None  # counts, n, offset, weights
+
+    def end(self, counts: np.ndarray, delta: float, side: int) -> float:
+        c = counts.tolist()
+        ball = self.ball
+        if ball is None or ball[0] != c:
+            n = sum(c)
+            ball = self.ball = (c, n, _kl_ball_offset(c), [x / n for x in c])
+        _, n, offset, w = ball
+        eps = (offset + math.log(2.0 / delta)) / n
+        sup, self.starts[side] = _kl_ball_sup(self.payoffs[side], w, eps, self.starts[side])
+        return min(self.range[1], sup) if side else max(self.range[0], -sup)
 
 
 # Below this level the dual cannot resolve eps against the rounding of its

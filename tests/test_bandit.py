@@ -15,8 +15,7 @@ from simplexcr import (
 )
 from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
-from simplexcr.functionals import _kl_ball_sup, _kl_bernoulli_end
-from simplexcr.regions import kl_ball_radius
+from simplexcr.functionals import _KlBallBracket, _kl_ball_sup, _kl_bernoulli_end
 
 from oracles import (
     hoeffding_arm_bounds,
@@ -230,8 +229,9 @@ class TestStrategyIsolation:
 
 class TestLevelSetBounds:
     def test_state_belongs_to_one_run(self):
-        """A run's screen state does not leak into the next run: seed A,
-        then seed B, then seed A again gives A's run twice."""
+        """A run's bracket writers, with their cached balls and warm starts,
+        do not leak into the next run: seed A, then seed B, then seed A
+        again gives A's run twice."""
         arms = benchmark_arms()
         first = lucb_run(arms, 0.2, 0.1, "levelset", seed=21)
         other = lucb_run(arms, 0.2, 0.1, "levelset", seed=22)
@@ -332,21 +332,19 @@ class TestKlBallSup:
     def test_one_draw_at_tiny_delta(self):
         """n = 1 at delta_t = 1e-12: the ball reaches almost every vertex,
         so the bracket is nearly the whole payoff range, and the observed
-        category alone pins its own end."""
-        f, w = [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]
-        counts = [0, 1, 0]
-        eps = kl_ball_radius(counts, 1e-12)
-        up, x_up = _kl_ball_sup(f, w, eps)
-        down, x_down = _kl_ball_sup([-v for v in f], w, eps)
-        assert x_up == x_down == 0.0
-        assert 1.0 - 1e-11 < up < 1.0
-        assert 0.0 < -down < 1e-11
-        bounds = _LevelSetBounds(
-            [Arm(SimplexPoint((0.2, 0.6, 0.2)), LinearFunctional(tuple(f)))]
-        )
-        lcb = bounds.lower(0, np.array(counts), None, None, 1e-12)
-        ucb = bounds.upper(0, np.array(counts), None, None, 1e-12)
-        assert (lcb, ucb) == (-down, up)
+        category alone pins its own end: both solves end at the boundary
+        offset 0. The bounds object gives the writer's ends."""
+        f = LinearFunctional((0.0, 0.5, 1.0))
+        counts = np.array([0, 1, 0])
+        writer = _KlBallBracket(f)
+        lower, upper = writer.end(counts, 1e-12, 0), writer.end(counts, 1e-12, 1)
+        assert writer.starts == [0.0, 0.0]
+        assert 1.0 - 1e-11 < upper < 1.0
+        assert 0.0 < lower < 1e-11
+        bounds = _LevelSetBounds([Arm(SimplexPoint((0.2, 0.6, 0.2)), f)])
+        lcb = bounds.lower(0, counts, None, None, 1e-12)
+        ucb = bounds.upper(0, counts, None, None, 1e-12)
+        assert (lcb, ucb) == (lower, upper)
         assert ucb - lcb > 1.0 - 2e-11
 
 

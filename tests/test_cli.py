@@ -114,6 +114,16 @@ class TestUsageErrors:
         assert out == ""
         assert "Delta_(" in err
 
+    def test_widths_refusal_builds_no_grid_or_table(self, capsys):
+        # n = 10's grid and table are checked, not built, before n = 4000 is refused
+        core.compositions_array.cache_clear()
+        core._grid_points.cache_clear()
+        code, out, err = run_cli(capsys, "widths", "--n-list", "10,4000")
+        assert (code, out) == (2, "")
+        assert "Delta_(3,40000) has" in err
+        assert core.compositions_array.cache_info().currsize == 0
+        assert core._grid_points.cache_info().currsize == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from simplexcr import (
     EmpiricalDistribution,
+    LinearFunctional,
     RegionSpec,
     SimplexPoint,
     covering_collection,
@@ -30,6 +31,7 @@ from simplexcr.core import (
 )
 from simplexcr.functionals import (
     _KL_LEVEL_FLOOR,
+    _KlBallBracket,
     _kl_ball_sup,
     _kl_bernoulli_end,
     hoeffding_interval,
@@ -286,14 +288,14 @@ def bracket_cases(draw):
 
 
 def bracket(counts, delta, f):
-    """[-sup(-f), sup f] over the KL ball that holds the level-set region,
-    with the two dual offsets lambda - max g, g = -f and f."""
-    n = sum(counts)
-    eps = kl_ball_radius(counts, delta) / n
-    w = [c / n for c in counts]
-    down, x_down = _kl_ball_sup([-v for v in f], w, eps)
-    up, x_up = _kl_ball_sup(list(f), w, eps)
-    return -down, up, eps, x_down, x_up
+    """The bracket's lower and upper ends from a fresh _KlBallBracket, the
+    level eps = kl_ball_radius(counts, delta) / n of the ball that holds
+    the level-set region, and the writer's two dual offsets lambda - max
+    g, g = -f and f."""
+    writer = _KlBallBracket(LinearFunctional(tuple(f)))
+    lower = writer.end(np.array(counts), delta, 0)
+    upper = writer.end(np.array(counts), delta, 1)
+    return lower, upper, kl_ball_radius(counts, delta) / sum(counts), *writer.starts
 
 
 def ball_maximizer(f, w, eps, x):
@@ -396,6 +398,37 @@ def test_kl_ball_sup_does_not_depend_on_its_start(case, log_eps):
             continue
         allowance = dual_allowance(f, w, eps, x) + dual_allowance(f, w, eps, x_warm)
         assert abs(warm - cold) <= allowance
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(bracket_cases(), st.integers(0, 4), st.integers(0, 3))
+def test_bracket_writer_follows_its_counts(case, a, b):
+    """One writer driven through counts c, c + e_i, c + e_i + e_j, back to
+    c + e_i, then c + e_j (the same n), at a delta halved every step, gives
+    at each step and side a fresh writer's cold end, up to the dual's
+    rounding at both offsets: its cached radius offset and weights follow
+    the counts, and a warm start moves an end only by rounding."""
+    counts, delta, f = case
+    k = len(counts)
+    i = a % k
+    j = (i + 1 + b % (k - 1)) % k
+    c, e = np.array(counts), np.eye(k, dtype=np.int64)
+    functional = LinearFunctional(tuple(f))
+    writer = _KlBallBracket(functional)
+    for t, step in enumerate([c, c + e[i], c + e[i] + e[j], c + e[i], c + e[j]]):
+        d = delta * 0.5**t
+        n = int(step.sum())
+        w, eps = step / n, kl_ball_radius(step, d) / n
+        for side, g in ((0, -f), (1, f)):
+            warm = writer.end(step, d, side)
+            fresh = _KlBallBracket(functional)
+            cold = fresh.end(step, d, side)
+            x, x_warm = fresh.starts[side], writer.starts[side]
+            if x == 0.0:  # an explicit case, which no start reaches
+                assert (warm, x_warm) == (cold, x)
+                continue
+            allowance = dual_allowance(g, w, eps, x) + dual_allowance(g, w, eps, x_warm)
+            assert abs(warm - cold) <= allowance
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -7,7 +7,10 @@ mean, n, delta_t)`` and ``upper(...)``; the loop picks it by method name
 and sees nothing else, so swapping constructions changes only the ends. A
 run stops as soon as the leader's lower end clears every rival's upper
 end minus the tolerance; a round asks for those K ends only. The
-level-set bounds hold one ``functionals._KlBallBracket`` per arm.
+level-set bounds hold one ``functionals._KlBallBracket`` per arm; the
+two-point KL bounds start each (arm, side)'s solve from its last dual
+point and keep the round's ends by their inputs, so that equal inputs in
+one round give equal ends.
 
 Per-round error budget: at round t every arm's interval is built at
 delta / (K * t * (t + 1)), which sums to delta over all arms and rounds.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimplexPoint, _check_delta, _check_same_k
-from .functionals import LinearFunctional, _KlBallBracket, _kl_bernoulli_end
+from .functionals import LinearFunctional, _KlBallBracket, _kl_bernoulli_solve
 
 _BENCHMARK_PMFS = (
     (0.1, 0.6, 0.3),
@@ -73,10 +76,10 @@ class _MeanBounds:
         self.spans = [arm.values.value_range[1] - lo for arm, lo in zip(arms, self.los)]
 
     def lower(self, a, counts, mean, n, delta_t):
-        return self._end(a, mean, n, delta_t, 0.0)
+        return self._end(a, mean, n, delta_t, 0)
 
     def upper(self, a, counts, mean, n, delta_t):
-        return self._end(a, mean, n, delta_t, 1.0)
+        return self._end(a, mean, n, delta_t, 1)
 
 
 class _HoeffdingBounds(_MeanBounds):
@@ -87,16 +90,34 @@ class _HoeffdingBounds(_MeanBounds):
 
 
 class _KlBernoulliBounds(_MeanBounds):
+    """Two-point KL ends of the mean scaled to [0, 1], each solved from
+    that (arm, side)'s last dual point. A warm end may differ from a cold
+    one in its last bits, and two arms' warm ends at equal inputs from each
+    other, which could flip the challenger tie-break. So the ends of one
+    delta_t, that is of one round, are kept by their inputs: equal inputs in
+    one round give equal bits, as the cold solve does. A new delta_t empties
+    them, so at most 2K are kept. The state belongs to one run."""
+
+    def __init__(self, arms: list[Arm]):
+        super().__init__(arms)
+        self.starts = [[None, None] for _ in arms]  # each (arm, side)'s last dual point
+        self.delta_t = None
+        self.ends = {}  # (scaled mean, level, edge) -> end, at self.delta_t
+
     def _end(self, a, mean, n, delta_t, edge):
-        """The two-point KL interval's end of the mean scaled to [0, 1]; a
-        constant payoff's interval is its mean."""
+        """A constant payoff's interval is its mean."""
         lo, span = self.los[a], self.spans[a]
         if not span > 0.0:
             return mean
-        scaled = min(max((mean - lo) / span, 0.0), 1.0)
-        return lo + span * _kl_bernoulli_end(
-            scaled, math.log(2.0 / delta_t) / n, edge
-        )
+        if delta_t != self.delta_t:
+            self.delta_t, self.ends = delta_t, {}
+        key = (min(max((mean - lo) / span, 0.0), 1.0), math.log(2.0 / delta_t) / n, edge)
+        end = self.ends.get(key)
+        if end is None:
+            starts = self.starts[a]
+            end, starts[edge] = _kl_bernoulli_solve(*key, starts[edge])
+            self.ends[key] = end
+        return lo + span * end
 
 
 class _LevelSetBounds:

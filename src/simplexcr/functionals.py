@@ -9,10 +9,13 @@ sub-Gaussian and empirical Bernstein intervals, and the two-point KL
 interval. One safeguarded Newton solver of the finite-support KL-UCB dual
 bounds f over a KL ball: for the level-set bracket, whose one writer
 ``_KlBallBracket`` the bandit holds per arm, and, as its k = 2 case with
-f = (0, 1), for the two-point KL interval. Its ends are dual bounds: at
-or outside the exact ends in exact arithmetic, and tight to the dual's
-rounding in floats. A solve given no start begins from one cold start,
-the dual point of the two-point ball's second-order end.
+f = (0, 1), for the two-point KL interval, whose one writer is
+``_kl_bernoulli_solve``. Its ends are dual bounds: at or outside the exact
+ends in exact arithmetic, and tight to the dual's rounding in floats. A
+solve given no start begins from one cold start, the dual point of the
+two-point ball's second-order end; ``kl_bernoulli_interval`` solves cold,
+and the bandit starts each arm's two-point ends from their last dual
+points.
 """
 from __future__ import annotations
 
@@ -405,19 +408,28 @@ class _KlBallBracket:
 _KL_LEVEL_FLOOR = 1e-14
 
 
-def _kl_bernoulli_end(mean_hat: float, level: float, edge: float) -> float:
-    """The end toward edge 0 or 1 of {m : KL(mean_hat, m) <= level}: the
-    two-category KL ball with weights (1 - mean_hat, mean_hat), bounded
-    over payoff (0, 1) for edge 1 and (-0, -1) for edge 0, at a level of at
-    least _KL_LEVEL_FLOOR. By weak duality the end lies at or outside the
-    exact one in exact arithmetic; in floats it is tight to the dual's
-    rounding. The ball holds its centre, so the end is clamped to its side
-    of mean_hat, which rounding can cross when mean_hat is subnormal. The
-    solve is cold: it depends only on (mean_hat, level, edge)."""
+def _kl_bernoulli_solve(
+    mean_hat: float, level: float, edge: float, start: float | None
+) -> tuple[float, float]:
+    """The end toward edge 0 or 1 of {m : KL(mean_hat, m) <= level}, and
+    its dual point: the two-category KL ball with weights (1 - mean_hat,
+    mean_hat), bounded over payoff (0, 1) for edge 1 and (-0, -1) for edge
+    0, at a level of at least _KL_LEVEL_FLOOR, solved from ``start`` (a
+    previous dual point; None for the cold start). By weak duality the end
+    lies at or outside the exact one in exact arithmetic; in floats it is
+    tight to the dual's rounding, so a warm and a cold solve may differ in
+    the last bits. The ball holds its centre, so the end is clamped to its
+    side of mean_hat, which rounding can cross when mean_hat is subnormal."""
     w = [1.0 - mean_hat, mean_hat]
     level = max(level, _KL_LEVEL_FLOOR)
     if edge:
-        sup = _kl_ball_sup([0.0, 1.0], w, level)[0]
-        return min(1.0, max(mean_hat, sup))
-    sup = _kl_ball_sup([-0.0, -1.0], w, level)[0]
-    return max(0.0, min(mean_hat, -sup))
+        sup, x = _kl_ball_sup([0.0, 1.0], w, level, start)
+        return min(1.0, max(mean_hat, sup)), x
+    sup, x = _kl_ball_sup([-0.0, -1.0], w, level, start)
+    return max(0.0, min(mean_hat, -sup)), x
+
+
+def _kl_bernoulli_end(mean_hat: float, level: float, edge: float) -> float:
+    """_kl_bernoulli_solve's end from the cold start: it depends only on
+    (mean_hat, level, edge)."""
+    return _kl_bernoulli_solve(mean_hat, level, edge, None)[0]

@@ -15,7 +15,12 @@ from simplexcr import (
 )
 from simplexcr import bandit
 from simplexcr.bandit import _HoeffdingBounds, _KlBernoulliBounds, _LevelSetBounds
-from simplexcr.functionals import _KlBallBracket, _kl_ball_sup, _kl_bernoulli_end
+from simplexcr.functionals import (
+    _KlBallBracket,
+    _kl_ball_sup,
+    _kl_bernoulli_solve,
+    kl_bernoulli_interval,
+)
 
 from oracles import (
     hoeffding_arm_bounds,
@@ -351,33 +356,94 @@ class TestKlBallSup:
 class TestKlSolver:
     def test_runs_equal_under_bisection_oracle(self, monkeypatch):
         """The KL-ball dual solver and the 64-step bisection give the same
-        kl-bernoulli LUCB runs (500-600 rounds each). The bisection's scalar
-        stand-in for _kl_bernoulli_end looks its ends up in one array call
-        over every end the dual runs asked for, and calls the bisection for
-        any other end."""
+        kl-bernoulli LUCB runs (500-600 rounds each). The bisection's
+        stand-in for _kl_bernoulli_solve looks its ends up in one array call
+        over every end the dual runs asked for, calls the bisection for any
+        other end, and returns no dual point."""
         arms = benchmark_arms()
         asked = []
 
-        def recording(mean_hat, level, edge):
+        def recording(mean_hat, level, edge, start):
             asked.append((mean_hat, level, edge))
-            return _kl_bernoulli_end(mean_hat, level, edge)
+            return _kl_bernoulli_solve(mean_hat, level, edge, start)
 
-        monkeypatch.setattr(bandit, "_kl_bernoulli_end", recording)
+        monkeypatch.setattr(bandit, "_kl_bernoulli_solve", recording)
         runs = [lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=s) for s in range(5)]
         mean_hats, levels, edges = (np.array(x) for x in zip(*asked))
         lower, upper = kl_bernoulli_bounds_bisection(mean_hats, levels)
         table = dict(zip(asked, np.where(edges == 1.0, upper, lower).tolist()))
 
-        def bisection_root(mean_hat, level, edge):
+        def bisection_root(mean_hat, level, edge, start):
             key = (mean_hat, level, edge)
             if key not in table:
                 ends = kl_bernoulli_bounds_bisection(mean_hat, level)
                 table[key] = float(ends[edge == 1.0])
-            return table[key]
+            return table[key], None
 
-        monkeypatch.setattr(bandit, "_kl_bernoulli_end", bisection_root)
+        monkeypatch.setattr(bandit, "_kl_bernoulli_solve", bisection_root)
         for seed, run in enumerate(runs):
             assert lucb_run(arms, 0.2, 0.1, "kl-bernoulli", seed=seed) == run
+
+    @pytest.mark.parametrize("tolerance", [0.1, 0.0])
+    def test_warm_runs_equal_cold_runs(self, tolerance, monkeypatch):
+        """Warm-started ends kept per round give the runs of cold solves.
+        Without the per-round ends, seeds 1 and 3 fork at both
+        tolerances: two rivals at equal (mean, n) get ends a rounding
+        apart, and the challenger tie-break goes the other way."""
+        arms = benchmark_arms()
+        warm = [lucb_run(arms, 0.2, tolerance, "kl-bernoulli", seed=s) for s in range(4)]
+        def cold(mean_hat, level, edge, start):
+            return _kl_bernoulli_solve(mean_hat, level, edge, None)
+
+        monkeypatch.setattr(bandit, "_kl_bernoulli_solve", cold)
+        cold = [lucb_run(arms, 0.2, tolerance, "kl-bernoulli", seed=s) for s in range(4)]
+        assert warm == cold
+
+    def test_equal_inputs_in_one_round_give_equal_bits(self):
+        """Two arms with equal payoffs and different histories hold
+        different dual points, from which one end's warm solves differ in
+        the last bit; in one round their upper ends at equal (mean, n,
+        delta_t) are still equal bit for bit. A new delta_t empties the
+        round's ends."""
+        f = LinearFunctional((0.0, 0.5, 1.0))
+        arm = Arm(SimplexPoint((0.2, 0.3, 0.5)), f)
+        bounds = _KlBernoulliBounds([arm, arm])
+        bounds.upper(0, None, 0.3, 5, 0.01)
+        bounds.upper(1, None, 0.7, 6, 0.02)
+        assert len(bounds.ends) == 1
+        start0, start1 = (starts[1] for starts in bounds.starts)
+        assert start0 != start1
+        level = math.log(2.0 / 0.001) / 20
+        solo = [_kl_bernoulli_solve(0.5, level, 1, s)[0] for s in (start0, start1)]
+        assert solo[0] != solo[1]
+        ends = [bounds.upper(a, None, 0.5, 20, 0.001) for a in (0, 1)]
+        assert ends[0] == ends[1] == solo[0]
+        assert list(bounds.ends) == [(0.5, level, 1)]
+        bounds.lower(1, None, 0.5, 20, 0.0005)
+        assert list(bounds.ends) == [(0.5, math.log(2.0 / 0.0005) / 20, 0)]
+
+    def test_round_ends_stay_within_two_per_arm(self, monkeypatch):
+        """Over a whole run the round's ends never number more than 2K,
+        and afterwards the library's kl-bernoulli interval is still the
+        cold solve's."""
+        before = kl_bernoulli_interval(0.3, 40, 0.01)
+        sizes = []
+
+        class Watched(_KlBernoulliBounds):
+            def _end(self, *args):
+                end = super()._end(*args)
+                sizes.append(len(self.ends))
+                return end
+
+        monkeypatch.setitem(bandit._BOUNDS, "kl-bernoulli", Watched)
+        arms = benchmark_arms()
+        run = lucb_run(arms, 0.05, 0.0, "kl-bernoulli", seed=5)
+        assert run.completed and len(sizes) == run.rounds * len(arms)
+        assert 0 < max(sizes) <= 2 * len(arms)
+        after = kl_bernoulli_interval(0.3, 40, 0.01)
+        level = math.log(2.0 / 0.01) / 40
+        cold = [_kl_bernoulli_solve(0.3, level, edge, None)[0] for edge in (0, 1)]
+        assert after == before and [after.lower, after.upper] == cold
 
 
 class TestMethodOrdering:

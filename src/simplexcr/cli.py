@@ -3,12 +3,16 @@ interval-width sweeps, volume reports, and bandit stopping-time tables.
 
 Outputs are machine readable: CSV (with a header row) for tabular sweeps,
 JSON (with a schema_version field) for structured region dumps, always
-UTF-8 with LF line endings. Exit codes: 0 success; 2 an argument that
-argparse, ``_check_args`` or the library refused (every ValueError, a grid
-or outcome table over the MAX_GRID_POINTS budget included); 1 a
-computation that failed (EmptyScanError, a bandit run that hit its sample
-cap). Output is written only after the full computation succeeds, so
-invalid input never leaves partial output behind.
+UTF-8 with LF line endings. A JSON output is one line, keys sorted and no
+whitespace between tokens, ended by one LF; ``python -m json.tool FILE``
+prints it indented. Earlier versions indented it by two spaces: those
+bytes differ, the objects ``json.loads`` gives do not. Exit codes: 0
+success; 2 an argument that argparse, ``_check_args`` or the library
+refused (every ValueError, a grid or outcome table over the
+MAX_GRID_POINTS budget included); 1 a computation that failed
+(EmptyScanError, a bandit run that hit its sample cap). Output is written
+only after the full computation succeeds, so invalid input never leaves
+partial output behind.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -85,16 +90,18 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _json_text(payload: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # compact, so json.dumps runs its C encoder; an indent forces the
+    # pure-Python one, which costs about three times as long
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _suffixed(out: str | None, tag: str) -> str | None:
+    """``out`` with ``_tag`` before the file name's extension: a dot in a
+    directory name is not an extension."""
     if out is None:
         return None
-    root, dot, ext = out.rpartition(".")
-    if not dot:
-        return f"{out}_{tag}"
-    return f"{root}_{tag}.{ext}"
+    root, ext = os.path.splitext(out)
+    return f"{root}_{tag}{ext}"
 
 
 def _boundary_rows(points: np.ndarray, member: np.ndarray, resolution: int) -> list:

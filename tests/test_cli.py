@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from simplexcr import EmpiricalDistribution, RegionSpec, SimplexPoint, average_volume
+from simplexcr import (
+    EmpiricalDistribution,
+    RegionSpec,
+    SimplexGrid,
+    SimplexPoint,
+    average_volume,
+    covering_collection,
+)
 from simplexcr import core, regions, volume
 from simplexcr.functionals import EmptyScanError
 from simplexcr.cli import main
@@ -574,6 +581,104 @@ class TestRegionDumps:
         assert code == 0
         raw = out.read_bytes()
         assert b"\r" not in raw
+
+    def test_all_constructions_keep_a_dotted_directory(self, tmp_path, capsys):
+        # the tag goes into the file name, never into a directory name
+        outdir = tmp_path / "runs.d"
+        outdir.mkdir()
+        code, _, _ = run_cli(
+            capsys,
+            "region", "--phat", "2,2,1", "--delta", "0.3", "--grid", "20",
+            "--construction", "all", "--out", str(outdir / "region"),
+        )
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.d"]
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "region_levelset", "region_polytope", "region_sanov",
+        ]
+
+
+# one call per JSON writer: a region dump, a boundary, a covering, a volume
+JSON_WRITERS = [
+    ("region", "--phat", "6,6,3", "--delta", "0.7", "--grid", "40"),
+    ("region", "--phat", "6,6,3", "--delta", "0.7", "--grid", "60", "--mode", "boundary"),
+    ("covering", "--p", "0.5,0.3,0.2", "--n", "6", "--delta", "0.3", "--format", "json"),
+    ("volume", "--k", "2", "--n", "4", "--delta", "0.3", "--grid", "100"),
+]
+JSON_WRITER_IDS = ["region", "boundary", "covering", "volume"]
+
+
+def _compact(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestJsonLayout:
+    """Every JSON output is one compact line with sorted keys, the layout
+    json.dumps writes with its C encoder."""
+
+    @pytest.mark.parametrize("argv", JSON_WRITERS, ids=JSON_WRITER_IDS)
+    def test_stdout_is_one_compact_sorted_line(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == _compact(out)
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", JSON_WRITERS, ids=JSON_WRITER_IDS)
+    def test_file_is_one_compact_sorted_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        text = out.read_bytes().decode("utf-8")
+        assert text == _compact(text)
+        assert text.count("\n") == 1
+
+
+class TestJsonValues:
+    """The loaded JSON equals the library's answers exactly."""
+
+    def test_region_dumps_equal_grid_and_membership(self, tmp_path, capsys):
+        out = tmp_path / "fig.json"
+        code, _, _ = run_cli(
+            capsys,
+            "region", "--phat", "6,6,3", "--delta", "0.7", "--grid", "40",
+            "--construction", "all", "--out", str(out),
+        )
+        assert code == 0
+        phat = EmpiricalDistribution((6, 6, 3))
+        points = SimplexGrid(3, 40).points
+        for kind in ("levelset", "sanov", "polytope"):
+            dump = json.loads((tmp_path / f"fig_{kind}.json").read_text(encoding="utf-8"))
+            member = regions.membership_grid(phat, RegionSpec(0.7, kind, 15, 3), points)
+            assert dump["points"] == points.tolist()
+            assert dump["member"] == member.astype(int).tolist()
+            assert dump["delta"] == 0.7
+
+    def test_covering_equals_collection(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "covering", "--p", "0.5,0.3,0.2", "--n", "6", "--delta", "0.3",
+            "--format", "json",
+        )
+        assert code == 0
+        dump = json.loads(out)
+        collection = covering_collection(SimplexPoint((0.5, 0.3, 0.2)), 6, 0.3)
+        assert dump["members"] == [list(m.counts) for m in collection.members]
+        assert dump["cumulative"] == list(collection.cumulative)
+        assert dump["total_mass"] == collection.total_mass
+
+    def test_volume_equals_report(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "volume", "--k", "3", "--n", "3", "--delta", "0.3", "--grid", "60",
+        )
+        assert code == 0
+        dump = json.loads(out)
+        report = average_volume(RegionSpec(0.3, "levelset", 3, 3), 60)
+        assert dump["total"] == report.total
+        assert dump["per_phat"] == [
+            {"counts": list(phat.counts), "volume_fraction": vol}
+            for phat, vol in report.per_phat.items()
+        ]
 
 
 class TestBanditCommand:

@@ -10,9 +10,13 @@ bytes differ, the objects ``json.loads`` gives do not. Exit codes: 0
 success; 2 an argument that argparse, ``_check_args`` or the library
 refused (every ValueError, a grid or outcome table over the
 MAX_GRID_POINTS budget included); 1 a computation that failed
-(EmptyScanError, a bandit run that hit its sample cap). Output is written
-only after the full computation succeeds, so invalid input never leaves
-partial output behind.
+(EmptyScanError, a bandit run that hit its sample cap) or an output that
+could not be written (an OSError, such as a missing directory in
+``--out``). Each refusal or failure prints one ``error:`` line to stderr.
+Output is written only after the full computation succeeds, so invalid
+input never leaves partial output behind. ``region --construction all``
+writes one file per construction, in turn: when a later write fails, the
+earlier files stay written.
 """
 from __future__ import annotations
 
@@ -422,7 +426,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (ValueError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
 

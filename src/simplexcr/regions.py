@@ -12,11 +12,20 @@ log-mass, in phat_mass_survivors: the kernel, levelset_membership_grid,
 prunes its points and its outcome rows by it (_phat_mass_row_cut), and
 functionals.functional_interval prunes its whole scan grid with it and walks
 only the survivors. Neither prune can change an answer. kl_ball_radius
-restates the rule as a KL ball around phat that holds every member. The
-kernel and covering_sizes_grid build their outcome-by-point matrices one
-block of about _BLOCK_ENTRIES entries at a time, so their memory does not
-grow with the number of points, and each block's matrix with _log_pmf_block,
-so a one-row call and a many-row call agree bit for bit.
+restates the rule as a KL ball around phat that holds every member.
+
+Both sides of the two-way volume counting identity are computed here. On
+the region side, covering_member_counts orders each point's outcomes once,
+as covering_collection does, and counts every outcome at every point whose
+collection holds it, by the kernel's rule: each count is the kernel's
+member count, bit for bit, and volume.average_volume's level-set volumes.
+On the collection side, covering_sizes_grid, the independent side, sorts
+each point's probabilities and compares a float cumsum with 1 - delta.
+The kernel, covering_member_counts and covering_sizes_grid build their
+outcome-by-point matrices one block of about _BLOCK_ENTRIES entries at a
+time, so their memory does not grow with the number of points, and each
+block's matrix with _log_pmf_block, so a one-row call and a many-row call
+agree bit for bit.
 """
 from __future__ import annotations
 
@@ -46,8 +55,8 @@ from .core import _as_points, _check_delta, _check_k, _check_n, _check_same_k
 KINDS = ("levelset", "sanov", "polytope")
 
 # Entries in one block of an outcome-by-point matrix, 2.5 MB of float64.
-# levelset_membership_grid and covering_sizes_grid both take
-# max(1, _BLOCK_ENTRIES // N) points per block over N outcomes.
+# levelset_membership_grid, covering_member_counts and covering_sizes_grid
+# take max(1, _BLOCK_ENTRIES // N) points per block over N outcomes.
 _BLOCK_ENTRIES = 312_500
 
 
@@ -128,19 +137,20 @@ class CoveringCollection:
 
 
 def _probability_ordering(logp: np.ndarray) -> np.ndarray:
-    """Indices sorting outcomes by probability descending; runs of sorted
+    """Indices sorting outcomes by probability descending, along axis 0, so
+    each column of an (N, G) logp is ordered on its own; runs of sorted
     neighbours s_i <= s_(i+1) + LOG_TIE_TOL (the kernel's tie test; -inf
     ties -inf) are ordered lexicographically ascending, which for the rows
     of compositions_array is index order."""
     num = len(logp)
-    order = np.argsort(-logp)
-    s = logp[order]
+    order = np.argsort(-logp, axis=0)
+    s = np.take_along_axis(logp, order, axis=0)
     tie = s[:-1] <= s[1:] + LOG_TIE_TOL
-    run = np.zeros(num, dtype=np.int64)
-    np.cumsum(~tie, out=run[1:])
+    run = np.zeros(logp.shape, dtype=np.int64)
+    np.cumsum(~tie, axis=0, out=run[1:])
     run *= num  # near-tie run id first, row index second: fits int64
     run += order
-    run.sort()
+    run.sort(axis=0)
     run %= num
     return run
 
@@ -444,3 +454,64 @@ def covering_sizes_grid(
         cum = np.cumsum(pr, axis=0)
         out[a : a + len(g)] = np.minimum((cum < target).sum(axis=0) + 1, num)
     return out
+
+
+def covering_member_counts(
+    n: int, k: int, delta: float, points: np.ndarray
+) -> np.ndarray:
+    """For every outcome, in the row order of compositions_array(k, n), the
+    number of rows of ``points`` whose covering collection holds it: each
+    outcome's level-set region volume on ``points`` times their number, the
+    region side of the two-way volume counting identity counted from the
+    collections. covering_sizes_grid computes the other side on its own.
+
+    Each point's outcomes are ordered as covering_collection orders them,
+    and the outcome at sorted position i is held iff the correctly rounded
+    mass before it is below 1 - delta: the float running sum decides
+    outside its _near_target band, exact_sum of the prefix inside it. That
+    is the kernel's rule, so the count of an outcome equals the number of
+    points levelset_membership_grid puts in its region, bit for bit. The
+    log-pmfs come from _log_pmf_block, in blocks of
+    max(1, _BLOCK_ENTRIES // N) points over N outcomes."""
+    _check_delta(delta)
+    points = _as_points(points, k)
+    counts_f = compositions_array(k, n).astype(float)
+    logcoef = log_coefficients(k, n)
+    held = np.zeros(len(counts_f), dtype=np.int64)
+    block = max(1, _BLOCK_ENTRIES // len(counts_f))
+    for a in range(0, len(points), block):
+        w = log_weights(points[a : a + block])
+        held += _held_in_block(_log_pmf_block(logcoef, counts_f, w), 1.0 - delta)
+    return held
+
+
+def _held_in_block(lp: np.ndarray, target: float) -> np.ndarray:
+    """covering_member_counts over one block's (N, m) log-pmfs; the
+    block's arrays die with the call."""
+    num = len(lp)
+    order, pr = _block_ordering(lp)
+    del lp
+    np.exp(pr, out=pr)
+    before = np.zeros_like(pr)
+    np.cumsum(pr[:-1], axis=0, out=before[1:])
+    inside = before < target
+    for i, j in zip(*np.nonzero(_near_target(before, num, target))):
+        inside[i, j] = exact_sum(pr[:i, j]) < target
+    return np.bincount(order[inside], minlength=num)
+
+
+def _block_ordering(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_probability_ordering of every column of an (N, m) block, and the
+    log-pmfs in that order. A stable sort leaves equal log-pmfs in index
+    order, which is _probability_ordering's order for a column whose near
+    ties are all exact, so only the columns with a near tie of unequal
+    values go through _probability_ordering."""
+    order = np.argsort(-lp, axis=0, kind="stable")
+    s = np.take_along_axis(lp, order, axis=0)
+    near_tie = s[:-1] <= s[1:] + LOG_TIE_TOL
+    near_tie &= s[:-1] != s[1:]
+    redo = np.flatnonzero(near_tie.any(axis=0))
+    if len(redo):
+        order[:, redo] = _probability_ordering(lp[:, redo])
+        s[:, redo] = np.take_along_axis(lp[:, redo], order[:, redo], axis=0)
+    return order, s

@@ -5,7 +5,10 @@ scalar KL divergences (full and two-point) with the method-of-types
 rejection test built on them, a one-dimensional boundary-bisection
 measure for k = 2 regions, a 64-step bisection for two-point KL interval
 endpoints, a lexsort with a per-run re-sort for the probability ordering,
-and the level-set grid kernel with its KL outer-bound prune. These stay
+the level-set grid kernel with its KL outer-bound prune, and region
+volumes summed one membership grid per outcome (the region side of the
+counting identity, against which the library's collection-side count is
+checked). These stay
 deliberately separate from the library's arithmetic outcome table, its
 log-space code paths, its exponent-binned exact sum, its KL-ball dual
 solver, its run-key ordering and its phat-mass prune. The whole-array
@@ -22,7 +25,13 @@ from typing import Iterator
 
 import numpy as np
 
-from simplexcr import EmpiricalDistribution, SimplexPoint, member_of_covering
+from simplexcr import (
+    EmpiricalDistribution,
+    SimplexGrid,
+    SimplexPoint,
+    enumerate_simplex,
+    member_of_covering,
+)
 from simplexcr.core import (
     LOG_TIE_TOL,
     composition_rank,
@@ -34,6 +43,7 @@ from simplexcr.core import (
     outcome_log_pmf,
 )
 from simplexcr.functionals import _kl_ball_sup
+from simplexcr.regions import membership_grid
 
 
 def iter_compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -435,3 +445,12 @@ def levelset_membership_grid_kl_prune(
         )
         member[cols[rest]] = mass < target
     return member
+
+
+def per_outcome_volumes(spec, M: int) -> dict:
+    """Every outcome's region volume on the resolution-M grid, one
+    membership_grid call per outcome: how average_volume computed them
+    before it counted level-set volumes from the collection side."""
+    points = SimplexGrid(spec.k, M).points
+    outcomes = enumerate_simplex(spec.k, spec.n)
+    return {phat: float(membership_grid(phat, spec, points).mean()) for phat in outcomes}

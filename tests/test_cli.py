@@ -335,8 +335,9 @@ class TestUsageErrors:
         ],
     )
     def test_refused_command_writes_nothing(self, capsys, monkeypatch, tmp_path, argv):
-        # no level-set membership is computed before the refusal
+        # no level-set membership or volume count is computed before the refusal
         monkeypatch.setattr(regions, "levelset_membership_grid", _computed_before_the_gate)
+        monkeypatch.setattr(volume, "covering_member_counts", _computed_before_the_gate)
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
@@ -350,6 +351,7 @@ class TestUsageErrors:
             (core.OverBudgetError("too big"), 2),
             (EmptyScanError("no member"), 1),
             (OverflowError("overflow"), 1),
+            (OSError("no space left"), 1),
         ],
     )
     def test_exit_code_follows_the_exception_type(self, capsys, monkeypatch, error, code):
@@ -596,6 +598,32 @@ class TestRegionDumps:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "region_levelset", "region_polytope", "region_sanov",
         ]
+
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        code, out_text, err = run_cli(
+            capsys,
+            "region", "--phat", "2,2,1", "--delta", "0.3", "--grid", "20",
+            "--out", str(out),
+        )
+        assert (code, out_text) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_all_constructions_keep_earlier_files_when_a_write_fails(self, tmp_path, capsys):
+        (tmp_path / "region_sanov.json").mkdir()  # the second file cannot be written
+        code, _, err = run_cli(
+            capsys,
+            "region", "--phat", "2,2,1", "--delta", "0.3", "--grid", "20",
+            "--construction", "all", "--out", str(tmp_path / "region.json"),
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "region_levelset.json", "region_sanov.json",
+        ]
+        assert json.loads((tmp_path / "region_levelset.json").read_text())["construction"] == "levelset"
 
 
 # one call per JSON writer: a region dump, a boundary, a covering, a volume

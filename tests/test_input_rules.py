@@ -27,6 +27,7 @@ from simplexcr import (
 )
 from simplexcr.core import compositions_array
 from simplexcr.regions import (
+    covering_member_counts,
     covering_sizes_grid,
     kl_ball_radius,
     levelset_membership_grid,
@@ -46,6 +47,7 @@ DELTA_ENTRIES = {
     "kl_ball_radius": lambda d: kl_ball_radius(PHAT.counts, d),
     "levelset_membership_grid": lambda d: levelset_membership_grid(PHAT, d, POINTS),
     "covering_sizes_grid": lambda d: covering_sizes_grid(5, 3, d, POINTS),
+    "covering_member_counts": lambda d: covering_member_counts(5, 3, d, POINTS),
     "hoeffding_interval": lambda d: hoeffding_interval(0.5, 10, d),
     "oracle_chernoff_interval": lambda d: oracle_chernoff_interval(0.5, 0.1, 10, d),
     "empirical_bernstein_interval": lambda d: empirical_bernstein_interval([0.0, 1.0], d),
@@ -117,6 +119,7 @@ def test_spec_matches_phat_with_one_wording(call):
         # an IndexError and numpy's matmul message before the rule had one writer
         (lambda: levelset_membership_grid(PHAT, 0.5, np.array([0.3, 0.3, 0.4])), "(3,)"),
         (lambda: covering_sizes_grid(3, 3, 0.1, np.array([[0.5, 0.5]])), "(1, 2)"),
+        (lambda: covering_member_counts(3, 3, 0.1, np.full((2, 4), 0.25)), "(2, 4)"),
     ],
 )
 def test_points_of_another_shape_are_a_value_error(call, shape):

@@ -1,6 +1,7 @@
-"""Property tests of the paper's identities, of the probability ordering, of
-the level-set kernel's prune, of the KL-ball bracket on the level-set
-region, of the KL-bound solver, of the exact p-value and of its
+"""Property tests of the paper's identities, of the probability ordering
+(one outcome vector or a block of columns), of the collection-side volume
+count, of the level-set kernel's prune, of the KL-ball bracket on the
+level-set region, of the KL-bound solver, of the exact p-value and of its
 correctly rounded sum over generated inputs."""
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from simplexcr import (
     LinearFunctional,
     RegionSpec,
     SimplexPoint,
+    average_volume,
     covering_collection,
     enumerate_simplex,
     member_of_covering,
@@ -23,6 +25,7 @@ from simplexcr import (
 )
 from simplexcr.core import (
     SimplexGrid,
+    composition_rank,
     compositions_array,
     exact_sum,
     kl_to_many,
@@ -38,7 +41,9 @@ from simplexcr.functionals import (
     kl_bernoulli_interval,
 )
 from simplexcr.regions import (
+    _block_ordering,
     _probability_ordering,
+    covering_member_counts,
     kl_ball_radius,
     levelset_membership_grid,
     membership_grid,
@@ -50,6 +55,7 @@ from oracles import (
     kl_bernoulli_bounds_bisection,
     kl_end_allowance,
     levelset_membership_grid_kl_prune,
+    per_outcome_volumes,
     probability_ordering_lexsort,
 )
 
@@ -91,18 +97,22 @@ def levelset_cases(draw):
 def test_scalar_grid_and_collection_agree(case):
     """Region/collection duality through every level-set membership entry
     point: the scalar query, region_membership, and one multi-row grid
-    call all equal phat in covering_collection(p, n, delta)."""
+    call all equal phat in covering_collection(p, n, delta), and
+    covering_member_counts counts phat at the points whose collection
+    holds it (Dirichlet, uniform, face and equal-coordinate points)."""
     k, n, delta, points = case
     rows = np.array([p.probs for p in points])
     collections = [set(covering_collection(p, n, delta).members) for p in points]
     spec = RegionSpec(delta, "levelset", n, k)
-    for phat in enumerate_simplex(k, n):
+    held = covering_member_counts(n, k, delta, rows).tolist()
+    for phat, count in zip(enumerate_simplex(k, n), held):
         grid = levelset_membership_grid(phat, delta, rows)
         for p, members, in_grid in zip(points, collections, grid):
             want = phat in members
             assert member_of_covering(phat, p, delta) == want
             assert region_membership(p, phat, spec) == want
             assert bool(in_grid) == want
+        assert count == sum(phat in members for members in collections)
 
 
 GEMM_SHAPE_NOTE = (
@@ -188,18 +198,22 @@ def test_kernel_and_collection_agree_on_the_boundary(case):
     """Region/collection duality within rounding of the boundary: on the
     last 16 bisection points of a ray, normalized through SimplexPoint so
     that both sides see the same floats, the one-row kernel, the many-row
-    kernel and phat in covering_collection give the same answer. The two
-    sides share the log-pmf product, the tie test's arithmetic and the
-    correctly rounded mass comparison; a difference in any of them makes
-    some of these points disagree."""
+    kernel and phat in covering_collection give the same answer, and
+    covering_member_counts counts phat at as many points. The sides share
+    the log-pmf product, the tie test's arithmetic and the correctly
+    rounded mass comparison; a difference in any of them makes some of
+    these points disagree."""
     phat, delta, start, end = case
     rows = boundary_points(phat, delta, start, end)
     points = [SimplexPoint(tuple(row), normalize=True) for row in rows]
-    many = levelset_membership_grid(phat, delta, np.array([p.probs for p in points]))
+    rows = np.array([p.probs for p in points])
+    many = levelset_membership_grid(phat, delta, rows)
     for p, in_many in zip(points, many):
         want = phat in covering_collection(p, phat.n, delta)
         assert one_row(phat, delta, p.probs) == want
         assert bool(in_many) == want
+    held = covering_member_counts(phat.n, phat.k, delta, rows)
+    assert held[composition_rank(phat.counts)] == many.sum()
 
 
 @st.composite
@@ -502,6 +516,69 @@ def test_probability_ordering_matches_lexsort(case):
         logp = logp + 3e-10 * rng.integers(-3, 4, size=len(logp))
     want = probability_ordering_lexsort(compositions_array(k, n), logp)
     assert np.array_equal(_probability_ordering(logp), want)
+
+
+@st.composite
+def ordering_blocks(draw):
+    """An (N, m) block of log-pmf columns over Delta_(k,n): each under its
+    own point (exact ties at uniform and equal coordinates, the finite
+    stand-in for log 0 on a face), optionally jittered by multiples of
+    3e-10 into near ties of unequal values, and optionally with some
+    entries set to -inf."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 20))
+    points = draw(st.lists(simplex_points(k), min_size=1, max_size=6))
+    block = np.column_stack([outcome_log_pmf(k, n, p.as_array()) for p in points])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        block += 3e-10 * rng.integers(-3, 4, size=block.shape)
+    if draw(st.booleans()):
+        block[rng.random(block.shape) < 0.2] = -np.inf
+    return k, n, block
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ordering_blocks())
+def test_block_ordering_orders_each_column_alone(case):
+    """_probability_ordering of a block, and the volume count's stable-sort
+    shortcut _block_ordering, order every column as the one-column call
+    and the lexsort reference do, and the shortcut's sorted log-pmfs are
+    the column's in that order."""
+    k, n, block = case
+    counts = compositions_array(k, n)
+    whole = _probability_ordering(block)
+    order, s = _block_ordering(block)
+    for j in range(block.shape[1]):
+        want = probability_ordering_lexsort(counts, block[:, j])
+        assert np.array_equal(_probability_ordering(block[:, j]), want)
+        assert np.array_equal(whole[:, j], want)
+        assert np.array_equal(order[:, j], want)
+        assert np.array_equal(s[:, j], block[want, j])
+
+
+@st.composite
+def volume_cases(draw):
+    """k from 1 to 4, n from 0 to 8 (to 5 at k = 4), delta log-uniform in
+    [1e-4, 0.95] and a grid resolution M from 50 to 200 (to 55 at k = 4):
+    the reference makes one call per outcome over a grid that grows as M^3
+    at k = 4. Every grid holds points on each face and at equal
+    coordinates."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5 if k == 4 else 8))
+    delta = draw(st.floats(-4.0, math.log10(0.95)).map(lambda e: 10.0**e))
+    M = draw(st.integers(50, 55 if k == 4 else 200))
+    return k, n, delta, M
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(volume_cases())
+def test_levelset_volumes_equal_the_per_outcome_kernel(case):
+    """The two-way counting identity, outcome by outcome: the level-set
+    volumes that average_volume counts from the collection side equal
+    the region side's, one kernel call per outcome, bit for bit."""
+    k, n, delta, M = case
+    spec = RegionSpec(delta, "levelset", n, k)
+    assert average_volume(spec, M).per_phat == per_outcome_volumes(spec, M)
 
 
 def mean_hats():

@@ -12,16 +12,8 @@ log-mass, in phat_mass_survivors: the kernel, levelset_membership_grid,
 prunes its points and its outcome rows by it (_phat_mass_row_cut), and
 functionals.functional_interval prunes its whole scan grid with it and walks
 only the survivors. Neither prune can change an answer. kl_ball_radius
-restates the rule as a KL ball around phat that holds every member.
-
-Both sides of the two-way volume counting identity are computed here. On
-the region side, covering_member_counts orders each point's outcomes once,
-as covering_collection does, and counts every outcome at every point whose
-collection holds it, by the kernel's rule: each count is the kernel's
-member count, bit for bit, and volume.average_volume's level-set volumes.
-On the collection side, covering_sizes_grid, the independent side, sorts
-each point's probabilities and compares a float cumsum with 1 - delta.
-The kernel, covering_member_counts and covering_sizes_grid build their
+restates the rule as a KL ball around phat that holds every member. The
+kernel, covering_member_counts and covering_sizes_grid build their
 outcome-by-point matrices one block of about _BLOCK_ENTRIES entries at a
 time, so their memory does not grow with the number of points, and each
 block's matrix with _log_pmf_block, so a one-row call and a many-row call
@@ -460,19 +452,24 @@ def covering_member_counts(
     n: int, k: int, delta: float, points: np.ndarray
 ) -> np.ndarray:
     """For every outcome, in the row order of compositions_array(k, n), the
-    number of rows of ``points`` whose covering collection holds it: each
-    outcome's level-set region volume on ``points`` times their number, the
-    region side of the two-way volume counting identity counted from the
-    collections. covering_sizes_grid computes the other side on its own.
+    number of rows of ``points`` whose covering collection holds it.
+
+    These counts over the number of points are the level-set region
+    volumes, so their sum is one side of the two-way volume counting
+    identity (volume.average_volume). The other side, the collection's size
+    at each point, is covering_sizes_grid's, which keeps its own arithmetic
+    (a float cumsum of sorted probabilities) so the check stays independent.
 
     Each point's outcomes are ordered as covering_collection orders them,
     and the outcome at sorted position i is held iff the correctly rounded
     mass before it is below 1 - delta: the float running sum decides
-    outside its _near_target band, exact_sum of the prefix inside it. That
-    is the kernel's rule, so the count of an outcome equals the number of
-    points levelset_membership_grid puts in its region, bit for bit. The
-    log-pmfs come from _log_pmf_block, in blocks of
-    max(1, _BLOCK_ENTRIES // N) points over N outcomes."""
+    outside its _near_target band, exact_sum of the prefix inside it. A
+    count equals the number of points levelset_membership_grid puts in the
+    outcome's region when no near-tie run of the ordering spans more than
+    LOG_TIE_TOL: the kernel compares each outcome with phat alone, while
+    the ordering chains sorted neighbours. The log-pmfs come from
+    _log_pmf_block, in blocks of max(1, _BLOCK_ENTRIES // N) points over N
+    outcomes."""
     _check_delta(delta)
     points = _as_points(points, k)
     counts_f = compositions_array(k, n).astype(float)
@@ -489,7 +486,8 @@ def _held_in_block(lp: np.ndarray, target: float) -> np.ndarray:
     """covering_member_counts over one block's (N, m) log-pmfs; the
     block's arrays die with the call."""
     num = len(lp)
-    order, pr = _block_ordering(lp)
+    order = _probability_ordering(lp)
+    pr = np.take_along_axis(lp, order, axis=0)
     del lp
     np.exp(pr, out=pr)
     before = np.zeros_like(pr)
@@ -498,20 +496,3 @@ def _held_in_block(lp: np.ndarray, target: float) -> np.ndarray:
     for i, j in zip(*np.nonzero(_near_target(before, num, target))):
         inside[i, j] = exact_sum(pr[:i, j]) < target
     return np.bincount(order[inside], minlength=num)
-
-
-def _block_ordering(lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_probability_ordering of every column of an (N, m) block, and the
-    log-pmfs in that order. A stable sort leaves equal log-pmfs in index
-    order, which is _probability_ordering's order for a column whose near
-    ties are all exact, so only the columns with a near tie of unequal
-    values go through _probability_ordering."""
-    order = np.argsort(-lp, axis=0, kind="stable")
-    s = np.take_along_axis(lp, order, axis=0)
-    near_tie = s[:-1] <= s[1:] + LOG_TIE_TOL
-    near_tie &= s[:-1] != s[1:]
-    redo = np.flatnonzero(near_tie.any(axis=0))
-    if len(redo):
-        order[:, redo] = _probability_ordering(lp[:, redo])
-        s[:, redo] = np.take_along_axis(lp[:, redo], order[:, redo], axis=0)
-    return order, s

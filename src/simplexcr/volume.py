@@ -1,12 +1,6 @@
 """Region volume estimation on the simplex grid and the two-way counting
 check behind the average-volume optimality of the level-set construction.
 
-The identity's two sides are two computations. average_volume sums the
-region volumes, the level-set ones counted from the collections, one
-probability ordering per grid point (regions.covering_member_counts);
-covering_size_integral integrates the collection's size with
-regions.covering_sizes_grid, whose arithmetic stays independent of both.
-
 Volumes are reported as fractions of the simplex measure; the optimality
 inequality is scale invariant, so no (k-1)-dimensional normalization
 constant is ever committed to. Grid fractions carry an empirical error
@@ -46,14 +40,10 @@ def region_volume(phat: EmpiricalDistribution, spec: RegionSpec, M: int) -> floa
 
 
 def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
-    """Sum of region volumes over every possible outcome: the region side
-    of the two-way counting identity.
-
-    The level-set volumes are counted from the collections:
-    covering_member_counts orders each grid point's outcomes once and
-    counts every outcome its collection holds, by the kernel's rule, so
-    each volume equals ``region_volume``'s bit for bit. The Sanov and
-    polytope volumes take one membership_grid call per outcome."""
+    """Sum of region volumes over every possible outcome. Level-set volumes
+    are regions.covering_member_counts over the grid size (that docstring
+    states the identity's two sides); Sanov and polytope volumes take one
+    membership_grid call per outcome."""
     points = _volume_grid(spec.k, M).points  # refused before the outcomes are enumerated
     outcomes = enumerate_simplex(spec.k, spec.n)
     if spec.kind == "levelset":
@@ -70,9 +60,7 @@ def average_volume(spec: RegionSpec, M: int) -> VolumeReport:
 
 
 def covering_size_integral(n: int, k: int, delta: float, M: int) -> float:
-    """Average covering-collection size over the grid: the collection side
-    of the two-way counting identity for the summed region volumes, from
-    covering_sizes_grid, whose arithmetic stays independent of the
-    kernel's and of average_volume's count."""
+    """Average covering-collection size over the grid: the independent side
+    of the two-way counting identity for the summed region volumes."""
     _check_delta(delta)  # before the grid is built
     return float(covering_sizes_grid(n, k, delta, _volume_grid(k, M).points).mean())

@@ -2,22 +2,23 @@
 
 The central object is the probability-ordered covering collection: the
 shortest prefix of outcomes, sorted by probability under p, whose mass
-reaches 1 - delta. Inverting that collection gives the minimal
-average-volume confidence region; KL-based Sanov and per-marginal polytope
-regions are provided as baselines, together with the exact p-value. Each
-region has one membership path, membership_grid; the scalar
-region_membership is its one-row case. Level-set membership over many
-points is pruned by a bound on phat's own mass, written once, with phat's
-log-mass, in phat_mass_survivors: the kernel, levelset_membership_grid,
-prunes its points and its outcome rows by it (_phat_mass_row_cut), and
-functionals.functional_interval prunes its whole scan grid with it and walks
-only the survivors. Neither prune can change an answer. kl_ball_radius
-restates the rule as a KL ball around phat that holds every member. The
-kernel, covering_member_counts and covering_sizes_grid build their
-outcome-by-point matrices one block of about _BLOCK_ENTRIES entries at a
-time, so their memory does not grow with the number of points, and each
-block's matrix with _log_pmf_block, so a one-row call and a many-row call
-agree bit for bit.
+reaches 1 - delta. One function writes that prefix, _covering_prefix:
+covering_collection takes it at one point, covering_member_counts at blocks
+of points. Inverting the collection gives the minimal average-volume
+confidence region; KL-based Sanov and per-marginal polytope regions are
+provided as baselines, together with the exact p-value. Each region has one
+membership path, membership_grid; the scalar region_membership is its
+one-row case. Level-set membership over many points is pruned by a bound on
+phat's own mass, written once, with phat's log-mass, in phat_mass_survivors:
+the kernel, levelset_membership_grid, prunes its points and its outcome rows
+by it (_phat_mass_row_cut), and functionals.functional_interval prunes its
+whole scan grid with it and walks only the survivors. Neither prune can
+change an answer. kl_ball_radius restates the rule as a KL ball around phat
+that holds every member. The kernel, covering_member_counts and
+covering_sizes_grid build their outcome-by-point matrices one block of about
+_BLOCK_ENTRIES entries at a time, so their memory does not grow with the
+number of points, and each block's matrix with _log_pmf_block, so a one-row
+call and a many-row call agree bit for bit.
 """
 from __future__ import annotations
 
@@ -135,11 +136,11 @@ def _probability_ordering(logp: np.ndarray) -> np.ndarray:
     ties -inf) are ordered lexicographically ascending, which for the rows
     of compositions_array is index order."""
     num = len(logp)
-    order = np.argsort(-logp, axis=0)
+    order = (-logp).argsort(axis=0)
     s = np.take_along_axis(logp, order, axis=0)
     tie = s[:-1] <= s[1:] + LOG_TIE_TOL
     run = np.zeros(logp.shape, dtype=np.int64)
-    np.cumsum(~tie, axis=0, out=run[1:])
+    (~tie).cumsum(axis=0, out=run[1:])
     run *= num  # near-tie run id first, row index second: fits int64
     run += order
     run.sort(axis=0)
@@ -147,21 +148,37 @@ def _probability_ordering(logp: np.ndarray) -> np.ndarray:
     return run
 
 
+def _covering_prefix(lp: np.ndarray, target: float):
+    """The covering prefix's one writer, for each column of the log-pmfs
+    lp, (N,) or (N, m): returns the _probability_ordering, the sorted
+    probabilities, their float running sums and the prefix size, the least
+    i < N whose correctly rounded prefix mass reaches target, else N. The
+    float sum decides, as the exact sum would outside the _near_target band.
+    A column whose prefix masses at sizes size - 1 and size lie in the band
+    is bisected again, with exact_sum only at its probes in the band."""
+    num = len(lp)
+    order = _probability_ordering(lp)
+    pr = np.exp(np.take_along_axis(lp, order, axis=0))
+    cum = pr.cumsum(axis=0)
+    size = (cum[:-1] < target).sum(axis=0, keepdims=True) + 1
+    edge = np.take_along_axis(cum, np.maximum(np.add.outer((-2, -1), size[0]), 0), axis=0)
+    for j in _near_target(edge, num, target).any(axis=0, keepdims=True).nonzero()[-1]:
+        c, x = cum.reshape(num, -1)[:, j], pr.reshape(num, -1)[:, j]
+        mass = lambda i: exact_sum(x[: i + 1]) if _near_target(c[i], num, target) else c[i]
+        size[..., j] = bisect.bisect_left(range(num - 1), target, key=mass) + 1
+    return order, pr, cum, size[0]
+
+
 def covering_collection(p: SimplexPoint, n: int, delta: float) -> CoveringCollection:
     """Build the covering collection for p at error level delta: order the
     n-sample outcomes by probability under p (the kernel's log-pmf) and keep
-    the shortest prefix whose correctly rounded mass reaches 1 - delta,
-    bisected on a float cumsum that exact_sum redoes in its _near_target band."""
+    the shortest prefix whose correctly rounded mass reaches 1 - delta, as
+    _covering_prefix finds it over the one column. The last two running
+    sums are summed again here, correctly rounded."""
     _check_delta(delta)
     coef, w = log_coefficients(p.k, n), log_weights(p.as_array())[None, :]
     logp = _log_pmf_block(coef, compositions_array(p.k, n).astype(float), w)[:, 0]
-    order = _probability_ordering(logp)
-    pr = np.exp(logp[order])
-    cum = np.cumsum(pr)
-    target = 1.0 - delta
-    near = lambda i: _near_target(cum[i], len(cum), target)
-    mass = lambda i: exact_sum(pr[: i + 1]) if near(i) else cum[i]
-    size = bisect.bisect_left(range(len(cum) - 1), target, key=mass) + 1
+    order, pr, cum, size = _covering_prefix(logp, 1.0 - delta)
     probabilities = pr[:size].tolist()  # fsum of a list: exact_sum's bits, cheaper
     cum = cum[:size]
     cum[-2:] = [math.fsum(probabilities[:i]) for i in range(max(size - 1, 1), size + 1)]
@@ -460,39 +477,22 @@ def covering_member_counts(
     at each point, is covering_sizes_grid's, which keeps its own arithmetic
     (a float cumsum of sorted probabilities) so the check stays independent.
 
-    Each point's outcomes are ordered as covering_collection orders them,
-    and the outcome at sorted position i is held iff the correctly rounded
-    mass before it is below 1 - delta: the float running sum decides
-    outside its _near_target band, exact_sum of the prefix inside it. A
-    count equals the number of points levelset_membership_grid puts in the
-    outcome's region when no near-tie run of the ordering spans more than
-    LOG_TIE_TOL: the kernel compares each outcome with phat alone, while
-    the ordering chains sorted neighbours. The log-pmfs come from
-    _log_pmf_block, in blocks of max(1, _BLOCK_ENTRIES // N) points over N
-    outcomes."""
+    A block of max(1, _BLOCK_ENTRIES // N) points over N outcomes takes its
+    log-pmfs from _log_pmf_block and its prefixes from _covering_prefix, as
+    covering_collection does at one point. A count equals the number of
+    points levelset_membership_grid puts in the outcome's region when no
+    near-tie run of the ordering spans more than LOG_TIE_TOL: the kernel
+    compares each outcome with phat alone, the ordering sorted neighbours."""
     _check_delta(delta)
     points = _as_points(points, k)
     counts_f = compositions_array(k, n).astype(float)
     logcoef = log_coefficients(k, n)
-    held = np.zeros(len(counts_f), dtype=np.int64)
-    block = max(1, _BLOCK_ENTRIES // len(counts_f))
+    num = len(counts_f)
+    held = np.zeros(num, dtype=np.int64)
+    block = max(1, _BLOCK_ENTRIES // num)
     for a in range(0, len(points), block):
         w = log_weights(points[a : a + block])
-        held += _held_in_block(_log_pmf_block(logcoef, counts_f, w), 1.0 - delta)
+        order, _, _, size = _covering_prefix(_log_pmf_block(logcoef, counts_f, w), 1.0 - delta)
+        held += np.bincount(order[np.arange(num)[:, None] < size], minlength=num)
+        del order, _  # the next block's ordering, the peak, holds none of this block's arrays
     return held
-
-
-def _held_in_block(lp: np.ndarray, target: float) -> np.ndarray:
-    """covering_member_counts over one block's (N, m) log-pmfs; the
-    block's arrays die with the call."""
-    num = len(lp)
-    order = _probability_ordering(lp)
-    pr = np.take_along_axis(lp, order, axis=0)
-    del lp
-    np.exp(pr, out=pr)
-    before = np.zeros_like(pr)
-    np.cumsum(pr[:-1], axis=0, out=before[1:])
-    inside = before < target
-    for i, j in zip(*np.nonzero(_near_target(before, num, target))):
-        inside[i, j] = exact_sum(pr[:i, j]) < target
-    return np.bincount(order[inside], minlength=num)

@@ -188,6 +188,47 @@ class TestCoveringCollection:
         order = probability_ordering_lexsort(counts, logp)
         assert got == [tuple(r) for r in counts[order[: len(got)]].tolist()]
 
+    @pytest.mark.parametrize("k, n", [(1, 0), (1, 9), (3, 0), (5, 0)])
+    @pytest.mark.parametrize("delta", [0.5, 1e-9, 1e-300])
+    def test_one_outcome(self, k, n, delta):
+        """At k = 1 or n = 0 the one outcome has probability 1.0, so the
+        collection is its row at any delta, also where 1 - delta rounds to
+        1.0 and the one-entry prefix is bisected over an empty range; every
+        point's collection holds it."""
+        for p in (SimplexPoint.uniform(k), SimplexPoint((1.0,) + (0.0,) * (k - 1))):
+            cc = covering_collection(p, n, delta)
+            assert cc.rows == (0,)
+            assert cc.probabilities == cc.cumulative == (1.0,)
+            assert cc.total_mass == 1.0
+        pts = np.random.default_rng(89).dirichlet(np.ones(k), size=7)
+        assert regions.covering_member_counts(n, k, delta, pts).tolist() == [7]
+
+
+class TestCoveringPrefix:
+    def test_small_delta_bisects_the_band(self, monkeypatch):
+        """At delta = 1e-13 the _near_target band of 1 - delta spans many
+        prefixes at every point of a k = 3, n = 40 table (N = 861 outcomes).
+        covering_member_counts still equals the kernel's count for every
+        outcome, and each collection the one-row kernel's answers, while
+        exact_sum runs only at bisection probes in the band: at most
+        ceil(log2 N) + 1 times a point."""
+        k, n, delta = 3, 40, 1e-13
+        rng = np.random.default_rng(97)
+        draws = rng.dirichlet(np.ones(k), size=20)
+        points = [SimplexPoint(tuple(r), normalize=True) for r in draws]
+        rows = np.array([p.probs for p in points])
+        calls = []
+        exact_sum = regions.exact_sum
+        monkeypatch.setattr(regions, "exact_sum", lambda x: calls.append(1) or exact_sum(x))
+        held = regions.covering_member_counts(n, k, delta, rows)
+        num = len(compositions_array(k, n))
+        assert 0 < len(calls) <= len(points) * (math.ceil(math.log2(num)) + 1)
+        collections = [covering_collection(p, n, delta) for p in points]
+        for phat, count in zip(enumerate_simplex(k, n), held.tolist()):
+            assert count == levelset_membership_grid(phat, delta, rows).sum()
+            for p, cc in zip(points, collections):
+                assert (phat in cc) == member_of_covering(phat, p, delta)
+
 
 class TestMemberOfCovering:
     def test_uniform_tie_class_member(self):

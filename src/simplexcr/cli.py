@@ -92,11 +92,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+# compact, so json.dumps runs its C encoder; an indent forces the
+# pure-Python one, which costs about three times as long
+_JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
+
+
 def _json_text(payload: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    # compact, so json.dumps runs its C encoder; an indent forces the
-    # pure-Python one, which costs about three times as long
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, **_JSON_LAYOUT) + "\n"
 
 
 def _suffixed(out: str | None, tag: str) -> str | None:
@@ -148,6 +151,10 @@ def cmd_region(config: argparse.Namespace) -> int:
         return 0
 
     points = grid.points
+    listed = None if config.mode == "boundary" else points.tolist()
+    if listed is not None and config.fmt == "json":
+        # encoded once, and spliced into every construction's dump
+        points_json = '"points":' + json.dumps(listed, **_JSON_LAYOUT)
     outputs = []
     for spec in specs:
         member = membership_grid(phat, spec, points)
@@ -163,11 +170,11 @@ def cmd_region(config: argparse.Namespace) -> int:
             payload = dict(common, boundary=_boundary_rows(points, member, resolution))
             text = _json_text(payload)
         elif config.fmt == "json":
-            payload = dict(common, points=points.tolist(), member=member.astype(int).tolist())
-            text = _json_text(payload)
+            payload = dict(common, points=None, member=member.astype(int).tolist())
+            text = _json_text(payload).replace('"points":null', points_json, 1)
         else:
             header = [f"p{i + 1}" for i in range(k)] + ["member"]
-            rows = [[*row, m] for row, m in zip(points.tolist(), member.astype(int).tolist())]
+            rows = [[*row, m] for row, m in zip(listed, member.astype(int).tolist())]
             text = _csv_text(header, rows)
         target = _suffixed(config.out, spec.kind) if len(specs) > 1 else config.out
         outputs.append((target, text))

@@ -309,12 +309,14 @@ def kl_ball_radius(counts, delta: float) -> float:
 
 
 def _near_target(mass: np.ndarray, m: int, target: float) -> np.ndarray:
-    """Whether a float running sum ``mass`` of m or fewer nonnegative terms
-    lies within 2 m u mass of target (u = 2^-53). Outside that band it
-    compares with target as its exact sum S, correctly rounded, does: it
-    errs by less than (m - 1) u mass (1 + 2 m u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, 4.2), and the rest of the band covers
-    the test's own rounding and keeps S < target (1 - u), which rounds below."""
+    """Whether a float sum ``mass`` of m or fewer nonnegative terms lies
+    within 2 m u mass of target (u = 2^-53). Outside that band it compares
+    with target as its exact sum S, correctly rounded, does: a sum of m
+    terms by m - 1 float additions in any order, running (row order) and
+    numpy's pairwise sum alike, errs by less than (m - 1) u mass (1 + 2 m u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and the
+    rest of the band covers the test's own rounding and keeps
+    S < target (1 - u), which rounds below."""
     return np.abs(mass - target) <= (m * 2.0**-52) * mass
 
 
@@ -357,17 +359,21 @@ def levelset_membership_grid(
     under p, correctly rounded, is below 1 - delta. With q = log P_p(phat),
     x is ranked before phat when log P_p(x) > q + LOG_TIE_TOL, or when x is
     lexicographically earlier and log P_p(x) + LOG_TIE_TOL >= q, as in
-    covering_collection's order. G is summed by ``np.bincount`` in row order,
-    and again by exact_sum where it lies in the _near_target band of 1 - delta.
+    covering_collection's order. G is a dense sum down the point's column
+    of the block's probabilities, each times 1 if ranked before phat and 0
+    if not: in row order for a block of two or more points, pairwise for a
+    one-point block. It is summed again by exact_sum where it lies in the
+    _near_target band of 1 - delta, which holds for either order.
 
     Points are pruned first by phat's own mass (phat_mass_survivors). The
     survivors go through in blocks of max(1, _BLOCK_ENTRIES // N) points
     (N outcomes), and a block keeps only the rows whose best-case log-pmf
     over it passes the row cut (_phat_mass_row_cut); neither step changes
-    an answer. One block's log-pmf matrix and its masks, a few MB, are
-    alive at a time. Every log-pmf comes from _log_pmf_block, whose bits do
-    not depend on the block a point is in, so a one-row call and a
-    many-row call give the same answer bit for bit.
+    an answer. One block's log-pmf matrix, which exp overwrites with the
+    probabilities, and its masks, a few MB, are alive at a time. Every
+    log-pmf comes from _log_pmf_block, whose bits do not depend on the block
+    a point is in, so a one-row call and a many-row call give the same
+    answer bit for bit.
     """
     _check_delta(delta)
     n, k = phat.n, phat.k
@@ -404,12 +410,12 @@ def levelset_membership_grid(
         q = lp[new_idx]
         sel = lp > q + LOG_TIE_TOL
         sel[:new_idx] |= lp[:new_idx] + LOG_TIE_TOL >= q  # rows stay in lex order
-        srows, scols = np.nonzero(sel)
-        terms = np.exp(lp[srows, scols])
-        mass = np.bincount(scols, weights=terms, minlength=len(cols))
+        terms = np.exp(lp, out=lp)  # q, a row of lp, is read for the last time above
+        terms *= sel
+        mass = terms.sum(axis=0)
         member[cols] = mass < target
         for j in np.flatnonzero(_near_target(mass, len(lp), target)):
-            member[cols[j]] = exact_sum(terms[scols == j]) < target
+            member[cols[j]] = exact_sum(terms[:, j]) < target
     return member
 
 

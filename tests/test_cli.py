@@ -16,7 +16,7 @@ from simplexcr import (
 )
 from simplexcr import core, regions, volume
 from simplexcr.functionals import EmptyScanError
-from simplexcr.cli import main
+from simplexcr.cli import _json_text, main
 
 from oracles import exact_pmf, p_value_fsum
 
@@ -680,6 +680,31 @@ class TestJsonValues:
             assert dump["points"] == points.tolist()
             assert dump["member"] == member.astype(int).tolist()
             assert dump["delta"] == 0.7
+
+    @pytest.mark.parametrize("counts", [(7, 5), (6, 6, 3), (3, 1, 2, 2)])
+    @pytest.mark.parametrize("construction", ["all", "sanov"])
+    def test_region_dump_bytes_equal_the_full_payload(self, tmp_path, capsys, counts, construction):
+        """The grid's points, encoded once and spliced into each dump, give
+        the bytes _json_text writes for the whole payload."""
+        out = tmp_path / "fig.json"
+        code, _, _ = run_cli(
+            capsys,
+            "region", "--phat", ",".join(map(str, counts)), "--delta", "0.3", "--grid", "12",
+            "--construction", construction, "--out", str(out),
+        )
+        assert code == 0
+        phat, k = EmpiricalDistribution(counts), len(counts)
+        points = SimplexGrid(k, 12).points
+        kinds = ("levelset", "sanov", "polytope") if construction == "all" else (construction,)
+        for kind in kinds:
+            member = regions.membership_grid(phat, RegionSpec(0.3, kind, phat.n, k), points)
+            payload = {
+                "construction": kind, "phat_counts": list(counts), "n": phat.n, "k": k,
+                "delta": 0.3, "grid_resolution": 12,
+                "points": points.tolist(), "member": member.astype(int).tolist(),
+            }
+            target = tmp_path / f"fig_{kind}.json" if construction == "all" else out
+            assert target.read_bytes() == _json_text(payload).encode("utf-8")
 
     def test_covering_equals_collection(self, capsys):
         code, out, _ = run_cli(

@@ -23,12 +23,15 @@ from simplexcr import (
     p_value,
     region_membership,
 )
+from simplexcr import regions
 from simplexcr.core import (
+    LOG_TIE_TOL,
     SimplexGrid,
     composition_rank,
     compositions_array,
     exact_sum,
     kl_to_many,
+    log_coefficients,
     log_weights,
     outcome_log_pmf,
 )
@@ -213,6 +216,46 @@ def test_kernel_and_collection_agree_on_the_boundary(case):
         assert bool(in_many) == want
     held = covering_member_counts(phat.n, phat.k, delta, rows)
     assert held[composition_rank(phat.counts)] == many.sum()
+
+
+@pytest.mark.parametrize("k, n", [(3, 30), (5, 50)])
+def test_band_answers_on_the_boundary(monkeypatch, k, n):
+    """On the last 16 bisection points of seeded rays, the kernel's answer
+    is the correctly rounded mass G (math.fsum of the probabilities ranked
+    before phat) compared with 1 - delta, and it differs from the oracle's
+    float sum only where G lies within 2 N u G of 1 - delta. At k = 3,
+    n = 30 the 16 points form one block; at k = 5, n = 50 each is a block
+    of its own, summed pairwise. Some points must reach exact_sum."""
+    calls = []
+    exact = regions.exact_sum
+    monkeypatch.setattr(regions, "exact_sum", lambda v: calls.append(1) or exact(v))
+    counts_f = compositions_array(k, n).astype(float)
+    coef = log_coefficients(k, n)
+    reached = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n, rng.dirichlet(np.ones(k)))
+        delta = 10.0 ** rng.uniform(-4.0, math.log10(0.9))
+        end = rng.dirichlet(np.ones(k))
+        end[rng.choice(np.flatnonzero(counts))] = 0.0
+        phat = EmpiricalDistribution(tuple(int(c) for c in counts))
+        rows = boundary_points(phat, delta, counts / n, end / end.sum())
+        before = len(calls)
+        got = levelset_membership_grid(phat, delta, rows)
+        reached += len(calls) > before
+        want = levelset_membership_grid_kl_prune(phat, delta, rows)
+        lp = regions._log_pmf_block(coef, counts_f, log_weights(rows))
+        idx = composition_rank(phat.counts)
+        sel = (lp > lp[idx] + LOG_TIE_TOL) | (
+            (np.arange(len(lp)) < idx)[:, None] & (lp + LOG_TIE_TOL >= lp[idx])
+        )
+        pr = np.exp(lp)
+        mass = np.array([math.fsum(pr[sel[:, j], j]) for j in range(len(rows))])
+        target = 1.0 - delta
+        assert got.tolist() == (mass < target).tolist()
+        band = np.abs(mass - target) <= 2.0 * len(lp) * 2.0**-53 * mass
+        assert band[got != want].all()
+    assert reached > 0
 
 
 @st.composite

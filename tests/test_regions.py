@@ -499,16 +499,17 @@ class TestVectorizedPaths:
 
     def test_levelset_grid_mass_blocks_match_oracle(self, monkeypatch):
         """At n = 200, on points near phat, the points cross many blocks of
-        the kernel, one mass sum per block; the bits are those of the
-        oracle kernel, which sums batches of 123 points at once."""
+        the kernel, one mass sum and one band test per block; the bits are
+        those of the oracle kernel, which sums batches of 123 points at
+        once."""
         calls = []
-        bincount = np.bincount
-        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+        near = regions._near_target
+        monkeypatch.setattr(regions, "_near_target", lambda *a: calls.append(1) or near(*a))
         phat = EmpiricalDistribution((60, 80, 60))
         pts = np.random.default_rng(73).dirichlet(np.array(phat.counts, dtype=float), size=246)
         got = levelset_membership_grid(phat, 0.3, pts)
         assert len(calls) >= 6  # at least six blocks
-        monkeypatch.setattr(np, "bincount", bincount)
+        monkeypatch.setattr(regions, "_near_target", near)
         assert 0 < got.sum() < len(pts)
         assert np.array_equal(got, levelset_membership_grid_kl_prune(phat, 0.3, pts))
 

@@ -186,7 +186,7 @@ def cmd_region(config: argparse.Namespace) -> int:
 def cmd_covering(config: argparse.Namespace) -> int:
     p = SimplexPoint(config.p)
     collection = covering_collection(p, config.n, config.delta)
-    members = compositions_array(p.k, config.n)[list(collection.rows)].tolist()
+    members = compositions_array(p.k, config.n)[list(collection.rows)].astype(int).tolist()
     if config.fmt == "json":
         payload = {
             "p": list(p.probs),

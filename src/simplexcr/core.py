@@ -43,11 +43,9 @@ MAX_GRID_POINTS = 5_000_000
 # coefficients 8 more, so this budget holds one k <= 5 table at the cap
 # together with its coefficients (240 MB). Beyond that, a shape's table
 # and coefficients evict each other and are rebuilt on alternate calls.
-# No float64 copy of a table is kept: the regions kernels still make
-# theirs per call.
 _CACHE_BYTES = (5 + 1) * 8 * MAX_GRID_POINTS
 
-# Values per block of exact_sum: bounds its temporaries to a few MB.
+# Values per block of exact_sum, rows per block of log_coefficients: a few MB.
 _SUM_BLOCK = 1 << 16
 
 # cephes' lgam, which scipy.special.gammaln runs, at 13 <= x <= 1e8: the
@@ -261,17 +259,21 @@ def _check_budget(k: int, n: int) -> None:
 
 @_byte_cached
 def compositions_array(k: int, n: int) -> np.ndarray:
-    """All count vectors of Delta_{k,n} as a read-only (size, k) int64
+    """All count vectors of Delta_{k,n} as a read-only (size, k) float64
     array in lexicographic order: index order breaks probability ties, and a
-    row's index is its ``composition_rank``. Column by column, each partial
-    row with rest units left is repeated rest + 1 times with values 0..rest.
+    row's index is its ``composition_rank``. Every log-pmf product reads its
+    whole counts, exact up to 2**53, as floats; code that emits counts
+    converts its rows. Column by column, each partial row with rest units
+    left is repeated rest + 1 times with values 0..rest.
     Every outcome table and scan grid passes through here, so this is the
     budget's one gate: ``_check_budget`` refuses more than MAX_GRID_POINTS
     rows before allocating. Kept in the byte-budgeted cache it shares with
     ``log_coefficients`` and the grid points (least recently used evicted
     first; a refused call keeps nothing); callers must not modify."""
     _check_budget(k, n)
-    arr = np.empty((1, 0), dtype=np.int64)
+    if n > 2**53:  # only k = 1 gets here, as the budget bounds n at k >= 2
+        raise ValueError(f"n must be at most 2**53, got {n}: float64 counts would round")
+    arr = np.empty((1, 0))
     rest = np.array([n], dtype=np.int64)
     for _ in range(k - 1):
         reps = rest + 1
@@ -338,15 +340,17 @@ def log_coefficients(k: int, n: int) -> np.ndarray:
     """Log multinomial coefficients log(n! / prod c_j!) of the rows of
     ``compositions_array(k, n)``, in the same order, as a read-only array.
     At k = 1 the one coefficient is n! / n! = 1, and no table of log
-    factorials is built, whatever n. Kept in the byte-budgeted cache it
-    shares with ``compositions_array`` (least recently used evicted first);
-    callers must not modify."""
+    factorials is built, whatever n. The table's rows index the log
+    factorials as integers a block at a time, each row summed on its own.
+    Kept in the byte-budgeted cache it shares with ``compositions_array``
+    (least recently used evicted first); callers must not modify."""
     counts = compositions_array(k, n)  # the budget gate, before the log factorials
     if k == 1:
         out = np.zeros(1)
     else:
         lg = _log_factorials(n)
-        out = lg[n] - lg[counts].sum(axis=1)
+        blocks = np.split(counts, range(_SUM_BLOCK, len(counts), _SUM_BLOCK))
+        out = lg[n] - np.concatenate([lg[b.astype(np.intp)].sum(axis=1) for b in blocks])
     out.setflags(write=False)
     return out
 
@@ -354,7 +358,7 @@ def log_coefficients(k: int, n: int) -> np.ndarray:
 def enumerate_simplex(k: int, n: int) -> list[EmpiricalDistribution]:
     """The rows of ``compositions_array(k, n)``, lexicographic, as empirical
     distributions. n = 0 gives the single all-zero count vector."""
-    rows = compositions_array(k, n).tolist()
+    rows = compositions_array(k, n).astype(int).tolist()
     return [EmpiricalDistribution(tuple(r)) for r in rows]
 
 

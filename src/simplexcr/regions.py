@@ -111,7 +111,7 @@ class CoveringCollection:
 
     @cached_property
     def members(self) -> tuple[EmpiricalDistribution, ...]:
-        rows = compositions_array(self.p.k, self.n)[list(self.rows)].tolist()
+        rows = compositions_array(self.p.k, self.n)[list(self.rows)].astype(int).tolist()
         return tuple(EmpiricalDistribution(tuple(r)) for r in rows)
 
     @cached_property
@@ -177,7 +177,7 @@ def covering_collection(p: SimplexPoint, n: int, delta: float) -> CoveringCollec
     sums are summed again here, correctly rounded."""
     _check_delta(delta)
     coef, w = log_coefficients(p.k, n), log_weights(p.as_array())[None, :]
-    logp = _log_pmf_block(coef, compositions_array(p.k, n).astype(float), w)[:, 0]
+    logp = _log_pmf_block(coef, compositions_array(p.k, n), w)[:, 0]
     order, pr, cum, size = _covering_prefix(logp, 1.0 - delta)
     probabilities = pr[:size].tolist()  # fsum of a list: exact_sum's bits, cheaper
     cum = cum[:size]
@@ -330,9 +330,9 @@ def _kl_ball_offset(counts) -> float:
     return log_c - n_entropy + log_num + LOG_TIE_TOL
 
 
-def _log_pmf_block(coef: np.ndarray, counts_f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """coef + counts_f @ w.T: the log-pmf of every row of counts_f, float
-    counts with log coefficients coef, under each point of a block whose
+def _log_pmf_block(coef: np.ndarray, counts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """coef + counts @ w.T: the log-pmf of every row of counts, an outcome
+    table's rows with log coefficients coef, under each point of a block whose
     log weights are the rows of w. numpy runs a one-column product as a
     matrix-vector product, which rounds differently from a matrix product,
     so a one-point block is computed with its point twice and keeps column
@@ -343,7 +343,7 @@ def _log_pmf_block(coef: np.ndarray, counts_f: np.ndarray, w: np.ndarray) -> np.
     thousands of rows, and only the kept columns get coef."""
     m = len(w)
     wt = np.repeat(w.T, 2, axis=1) if m == 1 else np.ascontiguousarray(w.T)
-    lp = counts_f @ wt
+    lp = counts @ wt
     lp = lp[:, :m]
     lp += coef[:, None]
     return lp
@@ -386,27 +386,22 @@ def levelset_membership_grid(
     w = log_weights(points)
     cand = np.flatnonzero(phat_mass_survivors(phat, w, delta))
     member = np.zeros(len(points), dtype=bool)
-    if len(cand) == 0:
-        return member
-
     target = 1.0 - delta
     cut = _phat_mass_row_cut(num, delta)
     w = w[cand]
-    counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
     block = max(1, _BLOCK_ENTRIES // num)
     for a in range(0, len(cand), block):
         cols = cand[a : a + block]
         wb = w[a : a + block]
-        top = wb if len(wb) == 1 else wb.max(axis=0, keepdims=True)
-        row_bound = _log_pmf_block(logcoef, counts_f, top)[:, 0]
+        row_bound = _log_pmf_block(logcoef, counts, wb.max(axis=0, keepdims=True))[:, 0]
         kept = row_bound > cut
         kept[idx] = True
         new_idx = int(kept[:idx].sum())
         if len(wb) == 1:  # a one-point block's row bound is its log-pmf
             lp = row_bound[kept][:, None]
         else:
-            lp = _log_pmf_block(logcoef[kept], counts_f[kept], wb)
+            lp = _log_pmf_block(logcoef[kept], counts[kept], wb)
         q = lp[new_idx]
         sel = lp > q + LOG_TIE_TOL
         sel[:new_idx] |= lp[:new_idx] + LOG_TIE_TOL >= q  # rows stay in lex order
@@ -456,15 +451,15 @@ def covering_sizes_grid(
     integrand of the two-way volume counting identity."""
     _check_delta(delta)
     points = _as_points(points, k)
-    counts_f = compositions_array(k, n).astype(float)
-    num = len(counts_f)
+    counts = compositions_array(k, n)
+    num = len(counts)
     logcoef = log_coefficients(k, n)
     target = 1.0 - delta
     out = np.empty(len(points), dtype=np.int64)
     block = max(1, _BLOCK_ENTRIES // num)
     for a in range(0, len(points), block):
         g = points[a : a + block]
-        lp = _log_pmf_block(logcoef, counts_f, log_weights(g))
+        lp = _log_pmf_block(logcoef, counts, log_weights(g))
         pr = np.sort(np.exp(lp), axis=0)[::-1]
         cum = np.cumsum(pr, axis=0)
         out[a : a + len(g)] = np.minimum((cum < target).sum(axis=0) + 1, num)
@@ -491,14 +486,14 @@ def covering_member_counts(
     compares each outcome with phat alone, the ordering sorted neighbours."""
     _check_delta(delta)
     points = _as_points(points, k)
-    counts_f = compositions_array(k, n).astype(float)
+    counts = compositions_array(k, n)
     logcoef = log_coefficients(k, n)
-    num = len(counts_f)
+    num = len(counts)
     held = np.zeros(num, dtype=np.int64)
     block = max(1, _BLOCK_ENTRIES // num)
     for a in range(0, len(points), block):
         w = log_weights(points[a : a + block])
-        order, _, _, size = _covering_prefix(_log_pmf_block(logcoef, counts_f, w), 1.0 - delta)
+        order, _, _, size = _covering_prefix(_log_pmf_block(logcoef, counts, w), 1.0 - delta)
         held += np.bincount(order[np.arange(num)[:, None] < size], minlength=num)
         del order, _  # the next block's ordering, the peak, holds none of this block's arrays
     return held

@@ -409,7 +409,6 @@ def levelset_membership_grid_kl_prune(
     log_delta = math.log(delta)
     floor = log_delta - math.log(num) - 30.0
     w = log_weights(points[cand])
-    counts_f = counts.astype(float)  # int64 matmuls bypass BLAS
 
     batch = max(16, 20_000_000 // (8 * num))  # independent of the library's blocks
     for a in range(0, len(cand), batch):
@@ -419,14 +418,14 @@ def levelset_membership_grid_kl_prune(
         # on the simplex and the per-batch row bound prunes hard: any row
         # whose best-case log-pmf over this batch is below the floor can
         # never be counted.
-        row_bound = logcoef + counts_f @ wb.max(axis=0)
+        row_bound = logcoef + counts @ wb.max(axis=0)
         kept = row_bound > floor
         kept[idx] = True
         new_idx = int(kept[:idx].sum())
         if len(wb) == 1:  # a one-point batch's row bound is its log-pmf
             lp = row_bound[kept][:, None]
         else:
-            lp = logcoef[kept][:, None] + counts_f[kept] @ wb.T
+            lp = logcoef[kept][:, None] + counts[kept] @ wb.T
         lex_earlier = np.arange(len(lp)) < new_idx  # rows stay in lex order
         q = lp[new_idx]
         quick = q > log_delta

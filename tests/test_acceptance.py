@@ -158,12 +158,12 @@ def test_criterion_6_outer_bound_soundness_and_type_class_sandwich():
                     rejects += 1
                     assert pv <= delta
     n, k = 8, 3
-    counts = compositions_array(k, n)
+    outcomes = enumerate_simplex(k, n)
     for _ in range(20):
         p = _random_point(rng, 3)
         logp = outcome_log_pmf(k, n, p.as_array())
-        for row, lp in zip(counts, logp):
-            div = kl_divergence(EmpiricalDistribution(tuple(row)).as_point(), p)
+        for phat, lp in zip(outcomes, logp):
+            div = kl_divergence(phat.as_point(), p)
             assert lp <= -n * div + 1e-9
             assert lp >= -n * div - k * math.log(n + 1) - 1e-9
     elapsed = time.perf_counter() - start

@@ -716,6 +716,7 @@ class TestJsonValues:
         dump = json.loads(out)
         collection = covering_collection(SimplexPoint((0.5, 0.3, 0.2)), 6, 0.3)
         assert dump["members"] == [list(m.counts) for m in collection.members]
+        assert all(type(c) is int for m in dump["members"] for c in m)  # 1.0 == 1 too
         assert dump["cumulative"] == list(collection.cumulative)
         assert dump["total_mass"] == collection.total_mass
 

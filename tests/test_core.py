@@ -144,10 +144,19 @@ class TestEnumeration:
         for k in range(1, 7):
             for n in range(0, 11):
                 arr = compositions_array(k, n)
-                assert arr.dtype == np.int64
+                assert arr.dtype == np.float64
                 assert not arr.flags.writeable
                 assert arr.shape == (simplex_size(k, n), k)
-                assert [tuple(r) for r in arr.tolist()] == list(iter_compositions(k, n))
+                assert np.array_equal(arr, np.rint(arr))
+                want = list(iter_compositions(k, n))
+                assert [tuple(r) for r in arr.astype(int).tolist()] == want
+
+    def test_compositions_array_refuses_counts_float64_would_round(self):
+        """k = 1 escapes the point budget, so n itself is bounded: float64
+        holds every whole count up to 2**53, not 2**53 + 1."""
+        assert enumerate_simplex(1, 2**53)[0].counts == (2**53,)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            enumerate_simplex(1, 2**53 + 1)
 
     def test_compositions_array_refuses_oversized_table(self):
         # (3, 3161) has 5,000,703 rows, just past the budget
@@ -223,13 +232,13 @@ class TestLogPmf:
 
     def test_against_rational_oracle(self):
         rng = np.random.default_rng(11)
-        counts = compositions_array(3, 8)
+        outcomes = enumerate_simplex(3, 8)
         for _ in range(20):
             fracs = random_rational_point(rng, 3)
             p = point_from_fractions(fracs)
             got = outcome_log_pmf(3, 8, p.as_array())
-            for row, g in zip(counts, got):
-                want = exact_log_pmf(tuple(row), fracs)
+            for phat, g in zip(outcomes, got):
+                want = exact_log_pmf(phat.counts, fracs)
                 assert g == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_total_probability_one(self):
@@ -452,5 +461,5 @@ def test_cached_arrays_are_read_only(empty_caches):
 def test_composition_rank_is_row_index():
     for k in range(1, 7):
         for n in range(13):
-            rows = compositions_array(k, n).tolist()
-            assert [composition_rank(tuple(r)) for r in rows] == list(range(len(rows)))
+            rows = [e.counts for e in enumerate_simplex(k, n)]
+            assert [composition_rank(r) for r in rows] == list(range(len(rows)))

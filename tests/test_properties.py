@@ -229,7 +229,7 @@ def test_band_answers_on_the_boundary(monkeypatch, k, n):
     calls = []
     exact = regions.exact_sum
     monkeypatch.setattr(regions, "exact_sum", lambda v: calls.append(1) or exact(v))
-    counts_f = compositions_array(k, n).astype(float)
+    table = compositions_array(k, n)
     coef = log_coefficients(k, n)
     reached = 0
     for seed in range(8):
@@ -244,7 +244,7 @@ def test_band_answers_on_the_boundary(monkeypatch, k, n):
         got = levelset_membership_grid(phat, delta, rows)
         reached += len(calls) > before
         want = levelset_membership_grid_kl_prune(phat, delta, rows)
-        lp = regions._log_pmf_block(coef, counts_f, log_weights(rows))
+        lp = regions._log_pmf_block(coef, table, log_weights(rows))
         idx = composition_rank(phat.counts)
         sel = (lp > lp[idx] + LOG_TIE_TOL) | (
             (np.arange(len(lp)) < idx)[:, None] & (lp + LOG_TIE_TOL >= lp[idx])

@@ -387,13 +387,13 @@ class TestOuterBound:
 
     def test_type_class_sandwich(self):
         rng = np.random.default_rng(47)
-        counts = compositions_array(3, 8)
         n, k = 8, 3
+        outcomes = enumerate_simplex(k, n)
         for _ in range(20):
             p = SimplexPoint(tuple(rng.dirichlet(np.ones(3))), normalize=True)
             logp = outcome_log_pmf(k, n, p.as_array())
-            for row, lp in zip(counts, logp):
-                div = kl_divergence(EmpiricalDistribution(tuple(row)).as_point(), p)
+            for phat, lp in zip(outcomes, logp):
+                div = kl_divergence(phat.as_point(), p)
                 assert lp <= -n * div + 1e-9
                 assert lp >= -n * div - k * math.log(n + 1) - 1e-9
 
@@ -529,6 +529,27 @@ class TestVectorizedPaths:
             tracemalloc.stop()
         assert 0 < got.sum() < len(pts)
         assert peak < 4 * block_bytes
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda phat: member_of_covering(phat, phat.as_point(), 0.3),
+            lambda phat: p_value(phat, phat.as_point()),
+        ],
+        ids=["member_of_covering", "p_value"],
+    )
+    def test_one_point_query_copies_no_table(self, query):
+        """A warm one-point query at k = 5, n = 50 reads the cached outcome
+        table as it is: its traced peak stays below the table's own bytes."""
+        phat = EmpiricalDistribution((8, 12, 10, 9, 11))
+        query(phat)  # tables cached
+        tracemalloc.start()
+        try:
+            query(phat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < compositions_array(5, 50).nbytes
 
     def test_levelset_grid_one_point_blocks_match_oracle_and_scalar(self):
         """At k = 5, n = 50 the outcomes outnumber a block's entries, so
